@@ -336,7 +336,8 @@ std::future<EngineResult> Engine::dispatch(RequestType type, Request request,
           }
         }
         result.latency_seconds = seconds_between(submitted, Clock::now());
-        if (result.ok() && !result.cache_hit) {
+        // A disabled partition would drop the copy unread: skip building it.
+        if (result.ok() && !result.cache_hit && cache.enabled()) {
           const Clock::time_point insert_start =
               traced ? Clock::now() : Clock::time_point{};
           cache.insert(key, std::make_shared<const EngineResult>(result));
@@ -545,12 +546,13 @@ EngineResult Engine::execute(const LocalizeRequest& request,
       }
       failed.set(index);
     }
-    const LocalizationResult localization = localize(paths, failed, request.k);
+    LocalizationResult localization = localize(paths, failed, request.k);
     result.localization.suspects = bitset_nodes(localization.suspects);
     result.localization.exonerated = bitset_nodes(localization.exonerated);
-    result.localization.consistent_sets = localization.consistent_sets;
+    result.localization.consistent_sets =
+        std::move(localization.consistent_sets);
     result.localization.minimal_explanation =
-        localization.minimal_explanation;
+        std::move(localization.minimal_explanation);
   } catch (const std::exception& error) {
     result.outcome = Outcome::RejectedBadRequest;
     result.message = error.what();

@@ -13,7 +13,8 @@
 //   cache_probe      canonical-key lookups in the result cache (submit-time
 //                    probe plus the second, post-queue checkpoint)
 //   compute          the library call itself (resolve excluded)
-//   cache_insert     publishing the result into the LRU cache
+//   cache_insert     publishing the result into the LRU cache (0 when the
+//                    tenant's partition is disabled)
 //   future_delivery  post-compute bookkeeping until the result is handed to
 //                    the promise (metrics recording, slot release)
 //

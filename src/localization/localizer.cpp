@@ -2,33 +2,11 @@
 
 #include <algorithm>
 
+#include "localization/covering_sets.hpp"
 #include "monitoring/set_cover.hpp"
 #include "util/error.hpp"
 
 namespace splace {
-
-namespace {
-
-/// Enumerates subsets of `pool` of size ≤ k, checking consistency: the
-/// subset's affected paths must equal `observed` exactly.
-void enumerate_consistent(const PathSet& paths,
-                          const std::vector<NodeId>& pool,
-                          const DynamicBitset& observed, std::size_t k,
-                          std::vector<NodeId>& current, std::size_t first,
-                          std::vector<std::vector<NodeId>>& out) {
-  // Candidates in `pool` touch only failed paths (exonerated nodes are
-  // excluded up front), so P_current ⊆ observed always holds; consistency
-  // reduces to covering every observed failed path.
-  if (paths.affected_paths(current) == observed) out.push_back(current);
-  if (current.size() == k) return;
-  for (std::size_t i = first; i < pool.size(); ++i) {
-    current.push_back(pool[i]);
-    enumerate_consistent(paths, pool, observed, k, current, i + 1, out);
-    current.pop_back();
-  }
-}
-
-}  // namespace
 
 LocalizationResult localize(const PathSet& paths,
                             const DynamicBitset& failed_paths,
@@ -62,13 +40,14 @@ LocalizationResult localize(const PathSet& paths,
   for (NodeId v = 0; v < n; ++v)
     if (result.suspects.test(v) || result.unobserved.test(v))
       pool.push_back(v);
-  std::vector<NodeId> current;
-  enumerate_consistent(paths, pool, failed_paths, k, current, 0,
-                       result.consistent_sets);
+  // Pool nodes touch only failed paths, so affected(F) == failed_paths
+  // exactly when F covers them.
+  const std::vector<DynamicBitset> incidence = paths.node_incidence();
+  result.consistent_sets =
+      covering_failure_sets(pool, incidence, failed_paths, k);
 
   // Greedy minimal explanation: cover the failed paths with suspect nodes.
   if (failed_paths.any()) {
-    std::vector<DynamicBitset> incidence = paths.node_incidence();
     std::vector<DynamicBitset> candidates;
     std::vector<NodeId> candidate_ids;
     for (NodeId v = 0; v < n; ++v) {

@@ -4,6 +4,12 @@
 // reports which nodes are cleared, which are suspect, every failure set of
 // size ≤ k consistent with the evidence (the set {F} ∪ I_k(F; P)), and a
 // greedy minimal explanation in the spirit of [12], [4], [2].
+//
+// The consistent sets come from the signature-class enumerator in
+// localization/covering_sets.hpp, which the streaming ObservationIngest
+// shares: pool nodes with equal signatures on the failed paths form one
+// class, only class combinations whose signatures OR to the failed-path
+// set are expanded, and the lists come in lexicographic order.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +31,8 @@ struct LocalizationResult {
   /// Nodes traversed by no path at all — unobservable, state unknown.
   DynamicBitset unobserved;
   /// Every failure set of size ≤ k consistent with the observation
-  /// (produces exactly the observed failed-path set). Sorted member lists.
+  /// (produces exactly the observed failed-path set). Ascending member
+  /// lists in lexicographic order, a prefix before its extensions.
   std::vector<std::vector<NodeId>> consistent_sets;
   /// A smallest-effort explanation: greedy hitting set of the failed paths
   /// by suspect nodes (empty when nothing failed).

@@ -3,34 +3,13 @@
 #include <algorithm>
 #include <utility>
 
+#include "localization/covering_sets.hpp"
 #include "monitoring/set_cover.hpp"
 #include "util/error.hpp"
 
 namespace splace::stream {
 
 namespace {
-
-/// Enumerates subsets of `pool` of size <= k whose affected paths cover
-/// `down` (the partial-observation consistency condition). Mirrors the
-/// batch enumerate_consistent structure — check at entry, then extend in
-/// ascending pool order — so the streamed candidate list matches batch
-/// localize() element-for-element once every path is observed.
-void enumerate_covering(const std::vector<DynamicBitset>& incidence,
-                        const std::vector<NodeId>& pool,
-                        const DynamicBitset& down, std::size_t k,
-                        std::vector<NodeId>& current,
-                        const DynamicBitset& covered, std::size_t first,
-                        std::vector<std::vector<NodeId>>& out) {
-  if (down.is_subset_of(covered)) out.push_back(current);
-  if (current.size() == k) return;
-  for (std::size_t i = first; i < pool.size(); ++i) {
-    current.push_back(pool[i]);
-    DynamicBitset next = covered;
-    next |= incidence[pool[i]];
-    enumerate_covering(incidence, pool, down, k, current, next, i + 1, out);
-    current.pop_back();
-  }
-}
 
 /// Validates the (snapshot, placement, k) triple and builds the stream's
 /// path set; runs before any other member initialization.
@@ -112,16 +91,12 @@ void ObservationIngest::apply_transition(std::uint32_t path,
   }
 }
 
-void ObservationIngest::enumerate_candidates() {
-  candidates_.clear();
+std::vector<std::vector<NodeId>> ObservationIngest::covering_sets() const {
   std::vector<NodeId> pool;
   for (NodeId v = 0; v < paths_.node_count(); ++v) {
     if (up_count_[v] == 0) pool.push_back(v);
   }
-  std::vector<NodeId> current;
-  const DynamicBitset covered(paths_.size());
-  enumerate_covering(incidence_, pool, down_paths_, k_, current, covered, 0,
-                     candidates_);
+  return covering_failure_sets(pool, incidence_, down_paths_, k_);
 }
 
 void ObservationIngest::filter_candidates(std::uint32_t path,
@@ -196,7 +171,7 @@ bool ObservationIngest::observe(std::uint32_t path, PathState state,
       } else {
         bool list_changed = false;
         if (!enumerated_) {
-          enumerate_candidates();
+          candidates_ = covering_sets();
           enumerated_ = true;
           list_changed = true;
         } else if (old_state == PathState::Unknown) {
@@ -207,10 +182,10 @@ bool ObservationIngest::observe(std::uint32_t path, PathState state,
           list_changed = candidates_.size() != before;
         } else {
           // Flap (Up<->Down or ->Unknown): monotonicity is gone; re-derive.
-          std::vector<std::vector<NodeId>> before = std::move(candidates_);
-          enumerate_candidates();
+          std::vector<std::vector<NodeId>> sets = covering_sets();
           pending.reenumerated = true;
-          list_changed = candidates_ != before;
+          list_changed = sets != candidates_;
+          candidates_ = std::move(sets);
         }
 
         if (list_changed) {
@@ -303,18 +278,7 @@ LocalizationResult ObservationIngest::result() const {
     }
   }
 
-  if (enumerated_) {
-    result.consistent_sets = candidates_;
-  } else {
-    std::vector<NodeId> pool;
-    for (NodeId v = 0; v < n; ++v) {
-      if (up_count_[v] == 0) pool.push_back(v);
-    }
-    std::vector<NodeId> current;
-    const DynamicBitset covered(paths_.size());
-    enumerate_covering(incidence_, pool, down_paths_, k_, current, covered, 0,
-                       result.consistent_sets);
-  }
+  result.consistent_sets = enumerated_ ? candidates_ : covering_sets();
 
   if (down_paths_.any()) {
     std::vector<DynamicBitset> candidates;

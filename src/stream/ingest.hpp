@@ -1,11 +1,11 @@
 // ObservationIngest: incremental online localization from a stream of
 // per-path up/down reports.
 //
-// The batch path (localization/localizer.cpp) re-enumerates every failure
-// set of size <= k from scratch for each observation vector. A stream of
-// probe results arrives one path at a time, and almost every update only
-// *narrows* what is already known — so the ingest maintains the candidate
-// failure sets incrementally:
+// The batch path (localization/localizer.cpp) enumerates every failure set
+// of size <= k anew for each observation vector. A stream of probe results
+// arrives one path at a time, and almost every update only *narrows* what
+// is already known — so the ingest maintains the candidate failure sets
+// incrementally:
 //
 //   state machine per path:  Unknown -> Up | Down  (narrowing)
 //                            Up <-> Down, * -> Unknown (flap: re-derive)
@@ -19,15 +19,22 @@
 // Under partial observation that membership test is exactly the batch
 // condition restricted to known paths: once every path has a known state,
 // down ⊆ affected(F) together with F ⊆ pool (no member touches an up
-// path) forces affected(F) == down, i.e. the batch equality. test_stream
-// asserts the streamed and batch candidate sets are identical.
+// path) forces affected(F) == down, i.e. the batch equality.
+//
+// Full enumerations (the first down report of an episode, every flap, and
+// result() before any enumeration) call the same signature-class
+// enumerator as batch localize(), localization/covering_sets.hpp, with
+// the pool above and target = the known-down paths. Its lists come in
+// lexicographic order, a prefix before its extensions, so once every path
+// is observed the streamed candidate list equals batch localize()
+// element for element; test_stream asserts it.
 //
 // Narrowing transitions are handled by filtering the existing candidate
 // list (both conditions are antitone in the evidence: a new up-path can
 // only shrink the pool, a new down-path can only add a covering
-// constraint); flap transitions invalidate monotonicity and trigger one
-// full re-enumeration over the current evidence — counted in
-// StreamStats::reenumerations.
+// constraint), which keeps the order; flap transitions invalidate
+// monotonicity and trigger one full re-enumeration over the current
+// evidence — counted in StreamStats::reenumerations.
 //
 // Event emission (all through the EventBus, outside the ingest lock):
 //   Detection     down-path count 0 -> 1 (re-arms when it returns to 0)
@@ -98,7 +105,7 @@ class ObservationIngest {
   PathState state(std::uint32_t path) const;
   IngestStatus status() const;
 
-  /// Current candidate failure sets (ascending member lists, enumeration
+  /// Current candidate failure sets (ascending member lists, lexicographic
   /// order). Empty before the first down report of an episode.
   std::vector<std::vector<NodeId>> consistent_sets() const;
 
@@ -122,8 +129,9 @@ class ObservationIngest {
   EventHeader header(std::uint64_t timestamp_us) const;
   void apply_transition(std::uint32_t path, PathState old_state,
                         PathState new_state);
-  /// Rebuilds candidates_ from scratch over the current evidence.
-  void enumerate_candidates();
+  /// Every candidate set over the current evidence, enumerated anew.
+  /// Caller holds mutex_.
+  std::vector<std::vector<NodeId>> covering_sets() const;
   /// Drops candidates violating the newly known state of `path`.
   void filter_candidates(std::uint32_t path, PathState new_state);
   std::size_t suspect_count() const;

@@ -150,6 +150,34 @@ TEST(EngineTrace, EveryRequestRecordsAllSevenSpans) {
   EXPECT_EQ(stats.recorded, 0u);
 }
 
+TEST(EngineTrace, DisabledCacheSkipsTheInsert) {
+  Fixture fx;
+  EngineConfig config;
+  config.threads = 1;
+  config.cache_capacity = 0;
+  config.tracing = true;
+  Engine engine(fx.registry, config);
+
+  const EngineResult first = engine.submit(fx.place()).get();
+  ASSERT_TRUE(first.ok());
+  const EngineResult second = engine.submit(fx.place()).get();
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_EQ(second.place.placement, first.place.placement);
+
+  const std::vector<RequestTrace> traces = engine.drain_traces();
+  ASSERT_EQ(traces.size(), 2u);
+  for (const RequestTrace& trace : traces) {
+    EXPECT_GT(trace.stage(Stage::Compute), 0.0);
+    EXPECT_EQ(trace.stage(Stage::CacheInsert), 0.0);
+  }
+  const CacheStats stats = engine.metrics().cache;
+  EXPECT_EQ(stats.size, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
 TEST(EngineTrace, GreedyPlaceTracesPerRoundProfiles) {
   Fixture fx;
   EngineConfig config;

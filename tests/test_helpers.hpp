@@ -1,12 +1,14 @@
 // Shared fixtures/builders for the splace test suite.
 #pragma once
 
+#include <ostream>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "monitoring/path.hpp"
 #include "placement/service.hpp"
+#include "topology/isp_generator.hpp"
 #include "util/random.hpp"
 
 namespace splace::testing {
@@ -63,3 +65,15 @@ inline ProblemInstance random_instance(std::size_t nodes, std::size_t edges,
 }
 
 }  // namespace splace::testing
+
+namespace splace::topology {
+
+/// gtest printer for IspSpec, found through ADL. Without it gtest prints the
+/// raw bytes of the spec, which hold the heap address of `name`'s buffer, so
+/// every build listed the Table I suites under different test names.
+inline void PrintTo(const IspSpec& spec, std::ostream* os) {
+  *os << spec.name << " (" << spec.nodes << " nodes, " << spec.links
+      << " links, " << spec.dangling << " dangling, seed " << spec.seed << ")";
+}
+
+}  // namespace splace::topology

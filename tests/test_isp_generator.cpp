@@ -4,6 +4,7 @@
 
 #include "graph/components.hpp"
 #include "topology/rocketfuel.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace splace::topology {

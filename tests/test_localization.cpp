@@ -4,8 +4,10 @@
 
 #include <algorithm>
 
+#include "localization/covering_sets.hpp"
 #include "localization/observation.hpp"
 #include "monitoring/distinguishability.hpp"
+#include "monitoring/failure_sets.hpp"
 #include "monitoring/identifiability.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -145,6 +147,136 @@ TEST(Localizer, MinimalExplanationCoversFailedPaths) {
     for (NodeId v : result.minimal_explanation)
       EXPECT_TRUE(result.suspects.test(v));
   }
+}
+
+/// Oracle for localize(): every F in F_k whose affected paths equal the
+/// observation, sorted — lexicographic, a prefix before its extensions.
+std::vector<std::vector<NodeId>> brute_force_consistent(
+    const PathSet& paths, const DynamicBitset& observed, std::size_t k) {
+  std::vector<std::vector<NodeId>> sets;
+  for_each_failure_set(paths.node_count(), k,
+                       [&](const std::vector<NodeId>& f) {
+                         if (paths.affected_paths(f) == observed)
+                           sets.push_back(f);
+                       });
+  std::sort(sets.begin(), sets.end());
+  return sets;
+}
+
+/// Checks localize() against the oracle for every F in F_k as the truth;
+/// returns the number of observations checked.
+std::size_t expect_oracle_for_every_failure_set(const PathSet& paths,
+                                                std::size_t k) {
+  std::size_t checks = 0;
+  for_each_failure_set(paths.node_count(), k,
+                       [&](const std::vector<NodeId>& f) {
+                         const DynamicBitset observed =
+                             paths.affected_paths(f);
+                         EXPECT_EQ(localize(paths, observed, k).consistent_sets,
+                                   brute_force_consistent(paths, observed, k))
+                             << "k " << k << ", truth of size " << f.size();
+                         ++checks;
+                       });
+  return checks;
+}
+
+TEST(Localizer, ConsistentSetsEqualBruteForceInOrderOnSmallNetworks) {
+  Rng rng(21);
+  std::size_t checks = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + rng.index(7);  // 2..8 nodes
+    const PathSet paths =
+        testing::random_path_set(n, 1 + rng.index(8), 4, rng);
+    for (std::size_t k = 1; k <= 3; ++k)
+      checks += expect_oracle_for_every_failure_set(paths, k);
+  }
+  EXPECT_GT(checks, 1000u);
+}
+
+TEST(Localizer, ConsistentSetsEqualBruteForceBeyondOneSignatureWord) {
+  // Nodes 2g and 2g+1 always travel together, so every class holds at
+  // least two nodes; 20..23 are never traversed. 150 paths span three
+  // 64-bit signature words.
+  Rng rng(22);
+  PathSet paths(24);
+  while (paths.size() < 150) {
+    std::vector<NodeId> nodes;
+    for (std::size_t g = 0; g < 10; ++g) {
+      if (rng.bernoulli(0.25)) {
+        nodes.push_back(static_cast<NodeId>(2 * g));
+        nodes.push_back(static_cast<NodeId>(2 * g + 1));
+      }
+    }
+    if (!nodes.empty()) paths.add_nodes(nodes);
+  }
+  for (std::size_t k = 1; k <= 2; ++k)
+    expect_oracle_for_every_failure_set(paths, k);
+}
+
+TEST(Localizer, EmptyObservationListsUnobservedSubsetsInOrder) {
+  // Nodes 3, 4, 5 lie on no path; with nothing failed, F must avoid every
+  // covered node.
+  const PathSet paths = testing::make_paths(6, {{0, 1}, {1, 2}});
+  const DynamicBitset none(paths.size());
+  const LocalizationResult result = localize(paths, none, 2);
+  const std::vector<std::vector<NodeId>> expected = {
+      {}, {3}, {3, 4}, {3, 5}, {4}, {4, 5}, {5}};
+  EXPECT_EQ(result.consistent_sets, expected);
+  EXPECT_EQ(result.consistent_sets, brute_force_consistent(paths, none, 2));
+}
+
+TEST(Localizer, SignatureClassLargerThanK) {
+  // Nodes 0..3 share every path: one class of four under k = 2. Node 4
+  // alone misses the first path; node 5 is unobserved.
+  const PathSet paths = testing::make_paths(6, {{0, 1, 2, 3}, {0, 1, 2, 3, 4}});
+  const FailureScenario scenario = observe(paths, {1});
+  const LocalizationResult result = localize(paths, scenario, 2);
+  const std::vector<std::vector<NodeId>> expected = {
+      {0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {1}, {1, 2}, {1, 3},
+      {1, 4}, {1, 5}, {2}, {2, 3}, {2, 4}, {2, 5}, {3}, {3, 4}, {3, 5}};
+  EXPECT_EQ(result.consistent_sets, expected);
+  EXPECT_EQ(result.consistent_sets,
+            brute_force_consistent(paths, scenario.failed_paths, 2));
+}
+
+TEST(Localizer, CoveringSetsMatchBruteForceOnPartialEvidence) {
+  // The streaming ingest's case: pool nodes may also lie on paths outside
+  // the target (paths of unknown state), which must not count.
+  Rng rng(23);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 2 + rng.index(7);
+    const PathSet paths =
+        testing::random_path_set(n, 1 + rng.index(8), 4, rng);
+    const std::vector<DynamicBitset> incidence = paths.node_incidence();
+    DynamicBitset target(paths.size());
+    for (std::size_t p = 0; p < paths.size(); ++p)
+      if (rng.bernoulli(0.5)) target.set(p);
+    std::vector<NodeId> pool;
+    for (NodeId v = 0; v < n; ++v)
+      if (rng.bernoulli(0.7)) pool.push_back(v);
+    for (std::size_t k = 0; k <= 3; ++k) {
+      std::vector<std::vector<NodeId>> expected;
+      for_each_failure_set(n, k, [&](const std::vector<NodeId>& f) {
+        const bool in_pool = std::all_of(f.begin(), f.end(), [&](NodeId v) {
+          return std::binary_search(pool.begin(), pool.end(), v);
+        });
+        if (in_pool && target.is_subset_of(paths.affected_paths(f)))
+          expected.push_back(f);
+      });
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(covering_failure_sets(pool, incidence, target, k), expected)
+          << "trial " << trial << ", k " << k;
+    }
+  }
+}
+
+TEST(Localizer, CoveringSetsRejectUnsortedPool) {
+  const PathSet paths = testing::make_paths(3, {{0, 1}});
+  const DynamicBitset target(paths.size());
+  EXPECT_THROW(covering_failure_sets({1, 0}, paths.node_incidence(), target, 1),
+               ContractViolation);
+  EXPECT_THROW(covering_failure_sets({1, 1}, paths.node_incidence(), target, 1),
+               ContractViolation);
 }
 
 TEST(Localizer, SizeMismatchRejected) {

@@ -20,6 +20,7 @@
 #include "localization/localizer.hpp"
 #include "localization/observation.hpp"
 #include "stream/bus.hpp"
+#include "test_helpers.hpp"
 #include "topology/catalog.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -41,14 +42,31 @@ struct Fixture {
     const std::vector<NodeId> clients = topology::candidate_clients(entry, g);
     snapshot = registry->add("abovenet", std::move(g),
                              make_services(entry, clients, 0.6));
-    Rng rng(42);
-    placement = compute_placement(snapshot->instance(), Algorithm::GD, rng);
+    place();
+  }
+
+  /// A 40-node random network whose 8 services x 12 clients measure more
+  /// than 64 paths, so node signatures span several 64-bit words.
+  static Fixture wide() {
+    Rng rng(64);
+    return Fixture(splace::testing::random_instance(40, 70, 8, 12, 0.6, rng));
   }
 
   std::unique_ptr<ObservationIngest> ingest(std::size_t k, EventBus* bus,
                                             StreamMetrics* metrics) const {
     return std::make_unique<ObservationIngest>(1, snapshot, placement, k, bus,
                                                metrics);
+  }
+
+ private:
+  explicit Fixture(const ProblemInstance& instance) {
+    snapshot = registry->add("wide", instance.graph(), instance.services());
+    place();
+  }
+
+  void place() {
+    Rng rng(42);
+    placement = compute_placement(snapshot->instance(), Algorithm::GD, rng);
   }
 };
 
@@ -118,10 +136,13 @@ void expect_equal_results(const LocalizationResult& streamed,
 
 // --- Acceptance (a): streamed == batch on the same observations. ---
 
-TEST(StreamIngest, FullObservationMatchesBatchAcrossOrdersAndScenarios) {
-  Fixture fx;
+/// Streams every scenario in forward, reverse and shuffled probe order,
+/// then once more with every path first reported in its opposite state and
+/// corrected (a flap per path), comparing each final result with batch.
+void expect_streamed_equals_batch(const Fixture& fx) {
   const std::size_t k = 2;
-  auto ingest = fx.ingest(k, nullptr, nullptr);
+  StreamMetrics metrics;
+  auto ingest = fx.ingest(k, nullptr, &metrics);
   const PathSet& paths = ingest->paths();
   ASSERT_GT(paths.size(), 0u);
 
@@ -146,8 +167,24 @@ TEST(StreamIngest, FullObservationMatchesBatchAcrossOrdersAndScenarios) {
         // Element-for-element: same sets, same enumeration order.
         expect_equal_results(ingest->result(), batch);
       }
+
+      DynamicBitset opposite(paths.size());
+      for (std::size_t p = 0; p < paths.size(); ++p)
+        if (!scenario.failed_paths.test(p)) opposite.set(p);
+      ingest->begin_episode(0);
+      feed_all(*ingest, opposite, shuffled);
+      feed_all(*ingest, scenario.failed_paths, shuffled);
+      expect_equal_results(ingest->result(), batch);
     }
   }
+  EXPECT_GT(metrics.snapshot().reenumerations, 0u);
+}
+
+TEST(StreamIngest, FullObservationMatchesBatchAcrossOrdersAndScenarios) {
+  expect_streamed_equals_batch(Fixture());
+  const Fixture wide = Fixture::wide();
+  ASSERT_GT(wide.ingest(2, nullptr, nullptr)->path_count(), 64u);
+  expect_streamed_equals_batch(wide);
 }
 
 TEST(StreamIngest, MidStreamCandidatesMatchBruteForce) {
