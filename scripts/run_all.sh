@@ -114,6 +114,16 @@ rm -f BENCH_shard_smoke.json
 build/bench/bench_portfolio --smoke --out BENCH_portfolio_smoke.json
 rm -f BENCH_portfolio_smoke.json
 
+# Repository-benchmark correctness smoke: a short localize_episodes run on
+# the AT&T and BA-300 nets. splace_perf exits nonzero unless every
+# episode's streamed candidate sets equal its LocalizeRequest response, an
+# episode whose list ends on one set published the matching
+# LocalizationEvent, and every distinct request's response equals a direct
+# localize() call. The run's result file lands in the gitignored
+# .bench_results/.
+python3 perfbench/run.py --workload localize_episodes --seed 1 --seconds 3 \
+  --trace 0
+
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] && "$b"
 done

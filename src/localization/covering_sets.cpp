@@ -1,7 +1,6 @@
 #include "localization/covering_sets.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -12,178 +11,332 @@ namespace splace {
 
 namespace {
 
-/// One covering search. Signatures are rows of `words_` 64-bit words over
-/// the target's path universe, all restricted to the target, so "covers the
-/// target" is "the OR equals the target". Nodes are handled by their pool
-/// position, which orders them as their ids do.
-class CoveringSearch {
- public:
-  CoveringSearch(const std::vector<NodeId>& pool,
-                 const std::vector<DynamicBitset>& incidence,
-                 const DynamicBitset& target, std::size_t k)
-      : pool_(pool),
-        words_(target.word_count()),
-        target_(target.word_data()),
-        width_(std::min(k, pool.size())) {
-    SPLACE_EXPECTS(std::adjacent_find(pool.begin(), pool.end(),
-                                      std::greater_equal<NodeId>()) ==
-                   pool.end());
-    group(incidence, target.size());
-    const std::size_t classes = members_.size();
-    suffix_.assign((classes + 1) * words_, 0);
-    for (std::size_t c = classes; c-- > 0;) {
-      for (std::size_t w = 0; w < words_; ++w)
-        suffix_[c * words_ + w] = suffix_[(c + 1) * words_ + w] |
-                                  signatures_[c * words_ + w];
-    }
-    cover_.assign((std::min(width_, classes) + 1) * words_, 0);
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
+
+std::size_t saturating_add(std::size_t a, std::size_t b) {
+  return a > kSaturated - b ? kSaturated : a + b;
+}
+
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  return b != 0 && a > kSaturated / b ? kSaturated : a * b;
+}
+
+/// c · num / den, saturating, where den divides c · num. With g =
+/// gcd(c, den), den / g is coprime to c / g and so divides num.
+std::size_t scale(std::size_t c, std::size_t num, std::size_t den) {
+  const std::size_t g = std::gcd(c, den);
+  return saturating_mul(c / g, num / (den / g));
+}
+
+/// C(n, m), saturating. The walk C(n - m + j, j), j = 1..m never
+/// decreases, so it may stop at the first saturated step.
+std::size_t choose(std::size_t n, std::size_t m) {
+  if (m > n) return 0;
+  m = std::min(m, n - m);
+  std::size_t c = 1;
+  for (std::size_t j = 1; j <= m && c != kSaturated; ++j)
+    c = scale(c, n - m + j, j);
+  return c;
+}
+
+/// Σ_{j ≤ m} C(n, j), saturating: the subsets of at most m of n nodes.
+std::size_t subsets_upto(std::size_t n, std::size_t m) {
+  std::size_t sum = 1;
+  std::size_t c = 1;  // C(n, j - 1), exact while sum is
+  for (std::size_t j = 1; j <= std::min(m, n) && sum != kSaturated; ++j) {
+    c = scale(c, n - j + 1, j);
+    sum = saturating_add(sum, c);
   }
+  return sum;
+}
 
-  std::vector<std::vector<NodeId>> run() {
-    search(0, 0, width_);
-    const std::vector<std::uint32_t> order = lexicographic_order();
-    std::vector<std::vector<NodeId>> sets;
-    sets.reserve(count_);
-    for (std::uint32_t r : order) {
-      const std::uint32_t* record = records_.data() + r * width_;
-      const std::size_t size = static_cast<std::size_t>(
-          std::find(record, record + width_, 0u) - record);
-      std::vector<NodeId>& set = sets.emplace_back(size);
-      for (std::size_t i = 0; i < size; ++i) set[i] = pool_[record[i] - 1];
-    }
-    return sets;
-  }
-
- private:
-  static constexpr std::uint32_t kEmptySlot =
-      std::numeric_limits<std::uint32_t>::max();
-
-  /// Groups the pool into classes of equal restricted signature through an
-  /// open-addressing table; members stay ascending because the pool is.
-  void group(const std::vector<DynamicBitset>& incidence,
-             std::size_t universe) {
-    std::size_t slots = 1;
-    while (slots < 2 * pool_.size()) slots <<= 1;
-    std::vector<std::uint32_t> table(slots, kEmptySlot);
-    std::vector<std::uint64_t> signature(words_);
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      const NodeId v = pool_[i];
-      SPLACE_EXPECTS(v < incidence.size() && incidence[v].size() == universe);
-      const std::uint64_t* row = incidence[v].word_data();
-      std::uint64_t hash = 1469598103934665603ull;
-      for (std::size_t w = 0; w < words_; ++w) {
-        signature[w] = row[w] & target_[w];
-        hash = (hash ^ signature[w]) * 1099511628211ull;
-      }
-      std::size_t slot = static_cast<std::size_t>(hash) & (slots - 1);
-      while (table[slot] != kEmptySlot &&
-             !std::equal(signature.begin(), signature.end(),
-                         signatures_.begin() +
-                             static_cast<std::ptrdiff_t>(table[slot] * words_)))
-        slot = (slot + 1) & (slots - 1);
-      if (table[slot] == kEmptySlot) {
-        table[slot] = static_cast<std::uint32_t>(members_.size());
-        signatures_.insert(signatures_.end(), signature.begin(),
-                           signature.end());
-        members_.emplace_back();
-      }
-      members_[table[slot]].push_back(static_cast<std::uint32_t>(i + 1));
-    }
-  }
-
-  /// Visits the class combination in slots_ (signature OR at cover_ row
-  /// `depth`) and every extension by classes >= first with at most `left`
-  /// more members, skipping a class when it and every class after it can no
-  /// longer complete the cover.
-  void search(std::size_t first, std::size_t depth, std::size_t left) {
-    const std::uint64_t* cover = cover_.data() + depth * words_;
-    if (std::equal(cover, cover + words_, target_)) expand(0, 0);
-    if (left == 0) return;
-    for (std::size_t c = first; c < members_.size(); ++c) {
-      std::uint64_t* next = cover_.data() + (depth + 1) * words_;
-      const std::uint64_t* signature = signatures_.data() + c * words_;
-      const std::uint64_t* rest = suffix_.data() + (c + 1) * words_;
-      bool reachable = true;
-      for (std::size_t w = 0; w < words_; ++w) {
-        next[w] = cover[w] | signature[w];
-        reachable = reachable && (next[w] | rest[w]) == target_[w];
-      }
-      if (!reachable) continue;
-      const std::size_t most = std::min(left, members_[c].size());
-      for (std::size_t count = 1; count <= most; ++count) {
-        slots_.push_back(c);
-        search(c + 1, depth + 1, left - count);
-      }
-      slots_.resize(slots_.size() - most);
-    }
-  }
-
-  /// Records every member list of the combination in slots_: slot i takes
-  /// one member of class slots_[i], and repeated slots of one class take
-  /// ascending members so each subset appears once. A record is the
-  /// ascending 1-based pool positions, zero-padded to width_.
-  void expand(std::size_t slot, std::size_t from) {
-    if (slot == slots_.size()) {
-      const auto base = static_cast<std::ptrdiff_t>(records_.size());
-      records_.resize(records_.size() + width_, 0);
-      std::copy(chosen_.begin(), chosen_.end(), records_.begin() + base);
-      std::sort(records_.begin() + base,
-                records_.begin() + base +
-                    static_cast<std::ptrdiff_t>(chosen_.size()));
-      ++count_;
-      return;
-    }
-    const std::vector<std::uint32_t>& members = members_[slots_[slot]];
-    const bool repeats =
-        slot + 1 < slots_.size() && slots_[slot + 1] == slots_[slot];
-    for (std::size_t p = from; p < members.size(); ++p) {
-      chosen_.push_back(members[p]);
-      expand(slot + 1, repeats ? p + 1 : 0);
-      chosen_.pop_back();
-    }
-  }
-
-  /// Record indices in lexicographic record order. Each class combination
-  /// expands to its own block and the blocks interleave, so a stable LSD
-  /// radix sort over the record digits (0..|pool|) restores the order;
-  /// zero padding sorts first, putting a prefix before its extensions.
-  std::vector<std::uint32_t> lexicographic_order() const {
-    std::vector<std::uint32_t> order(count_);
-    std::iota(order.begin(), order.end(), 0u);
-    std::vector<std::uint32_t> sorted(count_);
-    std::vector<std::size_t> start(pool_.size() + 2);
-    for (std::size_t d = width_; d-- > 0;) {
-      std::fill(start.begin(), start.end(), 0);
-      for (std::uint32_t r : order) ++start[records_[r * width_ + d] + 1];
-      std::partial_sum(start.begin(), start.end(), start.begin());
-      for (std::uint32_t r : order)
-        sorted[start[records_[r * width_ + d]]++] = r;
-      order.swap(sorted);
-    }
-    return order;
-  }
-
-  const std::vector<NodeId>& pool_;
-  const std::size_t words_;
-  const std::uint64_t* const target_;
-  const std::size_t width_;  ///< largest set size, min(k, |pool|)
-  std::vector<std::uint64_t> signatures_;  ///< class c at row c
-  std::vector<std::vector<std::uint32_t>> members_;  ///< 1-based positions
-  std::vector<std::uint64_t> suffix_;  ///< row c: OR of classes >= c
-  std::vector<std::uint64_t> cover_;   ///< row d: OR at search depth d
-  std::vector<std::size_t> slots_;     ///< classes picked, one per member
-  std::vector<std::uint32_t> chosen_;  ///< positions picked so far
-  std::vector<std::uint32_t> records_;
-  std::size_t count_ = 0;
-};
+/// Table slots for n nodes: a power of two of at least 4n, so the live
+/// classes (at most one per node) never fill more than a quarter of it.
+std::size_t table_slots(std::size_t nodes) {
+  std::size_t slots = 4;
+  while (slots < 4 * nodes) slots <<= 1;
+  return slots;
+}
 
 }  // namespace
+
+CoveringClasses::CoveringClasses(const std::vector<DynamicBitset>& incidence,
+                                 std::size_t paths)
+    : incidence_(incidence),
+      target_(paths),
+      words_(target_.word_count()),
+      table_(table_slots(incidence.size())),
+      class_of_(incidence.size()),
+      probed_(words_) {
+  for (const DynamicBitset& row : incidence)
+    SPLACE_EXPECTS(row.size() == paths);
+  reserve();
+  reset();
+}
+
+CoveringClasses::CoveringClasses(const std::vector<NodeId>& pool,
+                                 const std::vector<DynamicBitset>& incidence,
+                                 const DynamicBitset& target)
+    : incidence_(incidence),
+      target_(target),
+      words_(target_.word_count()),
+      table_(table_slots(incidence.size()), kNone),
+      class_of_(incidence.size(), kNone),
+      probed_(words_) {
+  SPLACE_EXPECTS(std::adjacent_find(pool.begin(), pool.end(),
+                                    std::greater_equal<NodeId>()) ==
+                 pool.end());
+  reserve();
+  for (NodeId v : pool) {
+    SPLACE_EXPECTS(v < incidence.size() &&
+                   incidence[v].size() == target.size());
+    assign(v, true);
+  }
+}
+
+/// Room for as many classes as the table holds before a rebuild, so the
+/// class arrays never reallocate.
+void CoveringClasses::reserve() {
+  const std::size_t classes = table_.size() / 2;
+  signatures_.reserve(classes * words_);
+  sizes_.reserve(classes);
+  live_index_.reserve(classes);
+  live_.reserve(classes);
+}
+
+void CoveringClasses::reset() {
+  target_.clear();
+  std::fill(table_.begin(), table_.end(), kNone);
+  std::fill(class_of_.begin(), class_of_.end(), 0u);
+  // One class, the empty signature, holding every node.
+  signatures_.assign(words_, 0);
+  sizes_.assign(1, static_cast<std::uint32_t>(class_of_.size()));
+  live_index_.assign(1, 0);
+  live_.assign(class_of_.empty() ? 0 : 1, 0);
+  table_[home(signatures_.data())] = 0;
+}
+
+void CoveringClasses::set_target(std::size_t path, bool in_target) {
+  if (in_target) {
+    target_.set(path);
+  } else {
+    target_.reset(path);
+  }
+}
+
+void CoveringClasses::assign(NodeId v, bool pooled) {
+  SPLACE_EXPECTS(v < class_of_.size());
+  // class_for() may rebuild the table, which re-files v: read v's class
+  // after it.
+  const std::uint32_t next = pooled ? class_for(v) : kNone;
+  const std::uint32_t prev = class_of_[v];
+  if (prev == next) return;
+  if (prev != kNone && --sizes_[prev] == 0) {
+    const std::uint32_t moved = live_.back();
+    live_[live_index_[prev]] = moved;
+    live_index_[moved] = live_index_[prev];
+    live_.pop_back();
+  }
+  if (next != kNone && sizes_[next]++ == 0) {
+    live_index_[next] = static_cast<std::uint32_t>(live_.size());
+    live_.push_back(next);
+  }
+  class_of_[v] = next;
+}
+
+std::size_t CoveringClasses::home(const std::uint64_t* row) const {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (std::size_t w = 0; w < words_; ++w)
+    hash = (hash ^ row[w]) * 1099511628211ull;
+  return static_cast<std::size_t>(hash) & (table_.size() - 1);
+}
+
+std::size_t CoveringClasses::probe(NodeId v) {
+  const std::uint64_t* row = incidence_[v].word_data();
+  const std::uint64_t* target = target_.word_data();
+  for (std::size_t w = 0; w < words_; ++w) probed_[w] = row[w] & target[w];
+  std::size_t slot = home(probed_.data());
+  while (table_[slot] != kNone &&
+         !std::equal(probed_.begin(), probed_.end(),
+                     signature(table_[slot])))
+    slot = (slot + 1) & (table_.size() - 1);
+  return slot;
+}
+
+std::uint32_t CoveringClasses::class_for(NodeId v) {
+  std::size_t slot = probe(v);
+  if (table_[slot] == kNone && 2 * (class_count() + 1) > table_.size()) {
+    rebuild();
+    slot = probe(v);
+  }
+  if (table_[slot] == kNone) {
+    table_[slot] = static_cast<std::uint32_t>(class_count());
+    signatures_.insert(signatures_.end(), probed_.begin(), probed_.end());
+    sizes_.push_back(0);
+    live_index_.push_back(kNone);
+  }
+  return table_[slot];
+}
+
+void CoveringClasses::rebuild() {
+  std::fill(table_.begin(), table_.end(), kNone);
+  signatures_.clear();
+  sizes_.clear();
+  live_index_.clear();
+  live_.clear();
+  for (NodeId v = 0; v < class_of_.size(); ++v) {
+    if (class_of_[v] == kNone) continue;
+    class_of_[v] = kNone;
+    assign(v, true);
+  }
+}
+
+void CoveringClasses::prepare(std::size_t k) {
+  const std::size_t live = live_.size();
+  suffix_.assign((live + 1) * words_, 0);
+  remaining_.assign(live + 1, 0);
+  for (std::size_t i = live; i-- > 0;) {
+    const std::uint64_t* row = signature(live_[i]);
+    for (std::size_t w = 0; w < words_; ++w)
+      suffix_[i * words_ + w] = suffix_[(i + 1) * words_ + w] | row[w];
+    remaining_[i] = remaining_[i + 1] + sizes_[live_[i]];
+  }
+  width_ = std::min(k, remaining_[0]);
+  cover_.assign((std::min(width_, live) + 1) * words_, 0);
+  slots_.clear();
+  total_ = 0;
+}
+
+std::size_t CoveringClasses::count(std::size_t k) {
+  prepare(k);
+  counting_ = true;
+  search(0, 0, width_, 1);
+  return total_;
+}
+
+std::vector<std::vector<NodeId>> CoveringClasses::sets(std::size_t k) {
+  prepare(k);
+  // start_[i + 1] is first the next free slot of live class i and, once
+  // every member is placed, its end: where class i + 1 starts.
+  start_.assign(live_.size() + 1, 0);
+  for (std::size_t i = 1; i < live_.size(); ++i)
+    start_[i + 1] = start_[i] + sizes_[live_[i - 1]];
+  members_.resize(remaining_[0]);
+  pool_.resize(remaining_[0]);
+  std::uint32_t position = 0;
+  for (NodeId v = 0; v < class_of_.size(); ++v) {
+    if (class_of_[v] == kNone) continue;
+    pool_[position++] = v;
+    members_[start_[live_index_[class_of_[v]] + 1]++] = position;
+  }
+
+  counting_ = false;
+  records_.clear();
+  search(0, 0, width_, 1);
+  const std::vector<std::uint32_t> order = lexicographic_order();
+  std::vector<std::vector<NodeId>> sets;
+  sets.reserve(total_);
+  for (std::uint32_t r : order) {
+    const std::uint32_t* record = records_.data() + r * width_;
+    const std::size_t size = static_cast<std::size_t>(
+        std::find(record, record + width_, 0u) - record);
+    std::vector<NodeId>& set = sets.emplace_back(size);
+    for (std::size_t i = 0; i < size; ++i) set[i] = pool_[record[i] - 1];
+  }
+  return sets;
+}
+
+/// Visits the class combination in slots_ (signature OR at cover_ row
+/// `depth`; on the count path, `ways` member lists) and every extension by
+/// live classes >= first with at most `left` more members, skipping a
+/// class when it and every class after it can no longer complete the
+/// cover.
+void CoveringClasses::search(std::size_t first, std::size_t depth,
+                             std::size_t left, std::size_t ways) {
+  const std::uint64_t* target = target_.word_data();
+  const std::uint64_t* cover = cover_.data() + depth * words_;
+  if (std::equal(cover, cover + words_, target)) {
+    if (counting_) {
+      // Every extension covers too: any j <= left of the members left.
+      total_ = saturating_add(
+          total_, saturating_mul(ways, subsets_upto(remaining_[first], left)));
+      return;
+    }
+    expand(0, 0);
+  }
+  if (left == 0) return;
+  for (std::size_t i = first; i < live_.size(); ++i) {
+    std::uint64_t* next = cover_.data() + (depth + 1) * words_;
+    const std::uint64_t* row = signature(live_[i]);
+    const std::uint64_t* rest = suffix_.data() + (i + 1) * words_;
+    bool reachable = true;
+    for (std::size_t w = 0; w < words_; ++w) {
+      next[w] = cover[w] | row[w];
+      reachable = reachable && (next[w] | rest[w]) == target[w];
+    }
+    if (!reachable) continue;
+    const std::size_t size = sizes_[live_[i]];
+    const std::size_t most = std::min(left, size);
+    for (std::size_t picks = 1; picks <= most; ++picks) {
+      slots_.push_back(i);
+      search(i + 1, depth + 1, left - picks,
+             counting_ ? saturating_mul(ways, choose(size, picks)) : 0);
+    }
+    slots_.resize(slots_.size() - most);
+  }
+}
+
+/// Records every member list of the combination in slots_: slot i takes
+/// one member of live class slots_[i], and repeated slots of one class take
+/// ascending members so each subset appears once. A record is the
+/// ascending 1-based pool positions, zero-padded to width_.
+void CoveringClasses::expand(std::size_t slot, std::size_t from) {
+  if (slot == slots_.size()) {
+    const auto base = static_cast<std::ptrdiff_t>(records_.size());
+    records_.resize(records_.size() + width_, 0);
+    std::copy(chosen_.begin(), chosen_.end(), records_.begin() + base);
+    std::sort(records_.begin() + base,
+              records_.begin() + base +
+                  static_cast<std::ptrdiff_t>(chosen_.size()));
+    ++total_;
+    return;
+  }
+  const std::size_t i = slots_[slot];
+  const std::uint32_t* members = members_.data() + start_[i];
+  const std::size_t size = start_[i + 1] - start_[i];
+  const bool repeats = slot + 1 < slots_.size() && slots_[slot + 1] == i;
+  for (std::size_t p = from; p < size; ++p) {
+    chosen_.push_back(members[p]);
+    expand(slot + 1, repeats ? p + 1 : 0);
+    chosen_.pop_back();
+  }
+}
+
+/// Record indices in lexicographic record order. Each class combination
+/// expands to its own block and the blocks interleave, so a stable LSD
+/// radix sort over the record digits (0..|pool|) restores the order; zero
+/// padding sorts first, putting a prefix before its extensions.
+std::vector<std::uint32_t> CoveringClasses::lexicographic_order() const {
+  std::vector<std::uint32_t> order(total_);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> sorted(total_);
+  std::vector<std::size_t> start(pool_.size() + 2);
+  for (std::size_t d = width_; d-- > 0;) {
+    std::fill(start.begin(), start.end(), 0);
+    for (std::uint32_t r : order) ++start[records_[r * width_ + d] + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (std::uint32_t r : order) sorted[start[records_[r * width_ + d]]++] = r;
+    order.swap(sorted);
+  }
+  return order;
+}
 
 std::vector<std::vector<NodeId>> covering_failure_sets(
     const std::vector<NodeId>& pool,
     const std::vector<DynamicBitset>& incidence, const DynamicBitset& target,
     std::size_t k) {
-  return CoveringSearch(pool, incidence, target, k).run();
+  return CoveringClasses(pool, incidence, target).sets(k);
 }
 
 }  // namespace splace

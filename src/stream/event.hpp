@@ -114,7 +114,8 @@ struct LocalizationEvent {
 
 /// The candidate failure sets changed but did not resolve to one:
 /// `consistent_sets` counts the remaining explanations (0 = the evidence
-/// contradicts every set of size <= k — more than k failures).
+/// contradicts every set of size <= k — more than k failures), saturating
+/// at SIZE_MAX.
 struct AmbiguityEvent {
   EventHeader header;
   std::size_t consistent_sets = 0;

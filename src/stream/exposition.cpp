@@ -304,7 +304,7 @@ std::string metrics_text(const std::vector<EngineExposition>& shards) {
       [](const EngineExposition& s) { return s.stream.ambiguity_events; });
   scalar_family(
       "splace_reenumerations_total", "counter",
-      "Full candidate re-enumerations forced by path flaps.",
+      "Candidate re-derivations forced by path flaps.",
       [](const EngineExposition& s) { return s.stream.reenumerations; });
   w.family("splace_detect_latency_us", "histogram",
            "Time from episode epoch to detection, microseconds.");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "localization/covering_sets.hpp"
 #include "monitoring/set_cover.hpp"
 #include "util/error.hpp"
 
@@ -41,7 +40,7 @@ ObservationIngest::ObservationIngest(
       up_count_(paths_.node_count(), 0),
       down_count_(paths_.node_count(), 0),
       known_paths_(paths_.size()),
-      down_paths_(paths_.size()) {}
+      classes_(incidence_, paths_.size()) {}
 
 std::uint64_t ObservationIngest::snapshot_hash() const {
   return snapshot_->hash();
@@ -52,12 +51,12 @@ void ObservationIngest::begin_episode(std::uint64_t epoch_us) {
   std::fill(states_.begin(), states_.end(), PathState::Unknown);
   std::fill(up_count_.begin(), up_count_.end(), 0u);
   std::fill(down_count_.begin(), down_count_.end(), 0u);
-  known_paths_ = DynamicBitset(paths_.size());
-  down_paths_ = DynamicBitset(paths_.size());
+  known_paths_.clear();
+  classes_.reset();
+  candidate_count_ = 0;
+  suspects_ = 0;
   epoch_us_ = epoch_us;
   episode_detected_ = false;
-  enumerated_ = false;
-  candidates_.clear();
 }
 
 EventHeader ObservationIngest::header(std::uint64_t timestamp_us) const {
@@ -73,62 +72,24 @@ EventHeader ObservationIngest::header(std::uint64_t timestamp_us) const {
 void ObservationIngest::apply_transition(std::uint32_t path,
                                          PathState old_state,
                                          PathState new_state) {
+  const auto suspect = [&](NodeId v) {
+    return up_count_[v] == 0 && down_count_[v] > 0;
+  };
+  classes_.set_target(path, new_state == PathState::Down);
   for (NodeId v : paths_[path].nodes()) {
+    if (suspect(v)) --suspects_;
     if (old_state == PathState::Up) --up_count_[v];
     if (old_state == PathState::Down) --down_count_[v];
     if (new_state == PathState::Up) ++up_count_[v];
     if (new_state == PathState::Down) ++down_count_[v];
+    if (suspect(v)) ++suspects_;
+    classes_.assign(v, up_count_[v] == 0);
   }
   if (new_state == PathState::Unknown) {
     known_paths_.reset(path);
   } else {
     known_paths_.set(path);
   }
-  if (new_state == PathState::Down) {
-    down_paths_.set(path);
-  } else {
-    down_paths_.reset(path);
-  }
-}
-
-std::vector<std::vector<NodeId>> ObservationIngest::covering_sets() const {
-  std::vector<NodeId> pool;
-  for (NodeId v = 0; v < paths_.node_count(); ++v) {
-    if (up_count_[v] == 0) pool.push_back(v);
-  }
-  return covering_failure_sets(pool, incidence_, down_paths_, k_);
-}
-
-void ObservationIngest::filter_candidates(std::uint32_t path,
-                                          PathState new_state) {
-  const auto touches_path = [&](const std::vector<NodeId>& set) {
-    for (NodeId v : set) {
-      if (incidence_[v].test(path)) return true;
-    }
-    return false;
-  };
-  if (new_state == PathState::Up) {
-    // A set containing any node of the newly-up path would fail that path.
-    candidates_.erase(
-        std::remove_if(candidates_.begin(), candidates_.end(), touches_path),
-        candidates_.end());
-  } else {
-    // A consistent set must explain the newly-down path: cover it.
-    candidates_.erase(
-        std::remove_if(candidates_.begin(), candidates_.end(),
-                       [&](const std::vector<NodeId>& set) {
-                         return !touches_path(set);
-                       }),
-        candidates_.end());
-  }
-}
-
-std::size_t ObservationIngest::suspect_count() const {
-  std::size_t count = 0;
-  for (NodeId v = 0; v < paths_.node_count(); ++v) {
-    if (up_count_[v] == 0 && down_count_[v] > 0) ++count;
-  }
-  return count;
 }
 
 bool ObservationIngest::observe(std::uint32_t path, PathState state,
@@ -144,6 +105,8 @@ bool ObservationIngest::observe(std::uint32_t path, PathState state,
     const PathState old_state = states_[path];
     changed = old_state != state;
     if (changed) {
+      // A candidate list exists while some path is down.
+      const bool listed = classes_.target().any();
       states_[path] = state;
       apply_transition(path, old_state, state);
 
@@ -162,38 +125,33 @@ bool ObservationIngest::observe(std::uint32_t path, PathState state,
         pending.detect_latency_us = head.latency_us;
       }
 
-      if (down_paths_.none()) {
+      if (classes_.target().none()) {
         // Episode cleared: re-arm detection, forget candidate state. The
         // next down report opens a new detection against the same epoch.
         episode_detected_ = false;
-        enumerated_ = false;
-        candidates_.clear();
+        candidate_count_ = 0;
       } else {
-        bool list_changed = false;
-        if (!enumerated_) {
-          candidates_ = covering_sets();
-          enumerated_ = true;
-          list_changed = true;
-        } else if (old_state == PathState::Unknown) {
-          // Narrowing transition: both consistency conditions are antitone
-          // in the evidence, so filtering the existing list is exact.
-          const std::size_t before = candidates_.size();
-          filter_candidates(path, state);
-          list_changed = candidates_.size() != before;
-        } else {
-          // Flap (Up<->Down or ->Unknown): monotonicity is gone; re-derive.
-          std::vector<std::vector<NodeId>> sets = covering_sets();
+        const std::size_t before = candidate_count_;
+        candidate_count_ = classes_.count(k_);
+        bool list_changed = true;  // the episode's first list
+        if (listed && old_state == PathState::Unknown) {
+          // Narrowing: the new list is a sublist of the old one.
+          list_changed = candidate_count_ != before;
+        } else if (listed) {
+          // Flap. A move to Unknown only grows the list; across Up <-> Down
+          // the two lists share no set (see the header comment).
           pending.reenumerated = true;
-          list_changed = sets != candidates_;
-          candidates_ = std::move(sets);
+          list_changed = state == PathState::Unknown
+                             ? candidate_count_ != before
+                             : candidate_count_ != 0 || before != 0;
         }
 
         if (list_changed) {
-          if (candidates_.size() == 1) {
+          if (candidate_count_ == 1) {
             LocalizationEvent event;
             event.header = head;
-            event.failure_set = candidates_.front();
-            event.suspects = suspect_count();
+            event.failure_set = std::move(classes_.sets(k_).front());
+            event.suspects = suspects_;
             event.final_observation = known_paths_.count() == paths_.size();
             pending.events.emplace_back(std::in_place_type<LocalizationEvent>,
                                         std::move(event));
@@ -202,8 +160,8 @@ bool ObservationIngest::observe(std::uint32_t path, PathState state,
           } else {
             AmbiguityEvent event;
             event.header = head;
-            event.consistent_sets = candidates_.size();
-            event.suspects = suspect_count();
+            event.consistent_sets = candidate_count_;
+            event.suspects = suspects_;
             pending.events.emplace_back(std::in_place_type<AmbiguityEvent>,
                                         std::move(event));
             pending.ambiguity = true;
@@ -246,16 +204,17 @@ IngestStatus ObservationIngest::status() const {
   status.sequence = sequence_;
   status.paths = paths_.size();
   status.observed = known_paths_.count();
-  status.down = down_paths_.count();
+  status.down = classes_.target().count();
   status.detected = episode_detected_;
-  status.consistent_sets = candidates_.size();
-  status.unique = enumerated_ && candidates_.size() == 1;
+  status.consistent_sets = candidate_count_;
+  status.unique = candidate_count_ == 1;
   return status;
 }
 
 std::vector<std::vector<NodeId>> ObservationIngest::consistent_sets() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return candidates_;
+  if (classes_.target().none()) return {};
+  return classes_.sets(k_);
 }
 
 LocalizationResult ObservationIngest::result() const {
@@ -278,9 +237,10 @@ LocalizationResult ObservationIngest::result() const {
     }
   }
 
-  result.consistent_sets = enumerated_ ? candidates_ : covering_sets();
+  result.consistent_sets = classes_.sets(k_);
 
-  if (down_paths_.any()) {
+  const DynamicBitset& down_paths = classes_.target();
+  if (down_paths.any()) {
     std::vector<DynamicBitset> candidates;
     std::vector<NodeId> candidate_ids;
     for (NodeId v = 0; v < n; ++v) {
@@ -288,7 +248,7 @@ LocalizationResult ObservationIngest::result() const {
       candidates.push_back(incidence_[v]);
       candidate_ids.push_back(v);
     }
-    const auto cover = greedy_set_cover(down_paths_, candidates);
+    const auto cover = greedy_set_cover(down_paths, candidates);
     if (cover) {
       for (std::size_t i : *cover) {
         result.minimal_explanation.push_back(candidate_ids[i]);

@@ -3,12 +3,11 @@
 //
 // The batch path (localization/localizer.cpp) enumerates every failure set
 // of size <= k anew for each observation vector. A stream of probe results
-// arrives one path at a time, and almost every update only *narrows* what
-// is already known — so the ingest maintains the candidate failure sets
-// incrementally:
+// arrives one path at a time, so the ingest keeps what the enumeration
+// needs up to date instead:
 //
 //   state machine per path:  Unknown -> Up | Down  (narrowing)
-//                            Up <-> Down, * -> Unknown (flap: re-derive)
+//                            Up <-> Down, * -> Unknown (flap)
 //
 //   per-node signature state:  up_count[v]   = #known-up paths through v
 //                              down_count[v] = #known-down paths through v
@@ -21,20 +20,28 @@
 // down ⊆ affected(F) together with F ⊆ pool (no member touches an up
 // path) forces affected(F) == down, i.e. the batch equality.
 //
-// Full enumerations (the first down report of an episode, every flap, and
-// result() before any enumeration) call the same signature-class
-// enumerator as batch localize(), localization/covering_sets.hpp, with
-// the pool above and target = the known-down paths. Its lists come in
-// lexicographic order, a prefix before its extensions, so once every path
-// is observed the streamed candidate list equals batch localize()
-// element for element; test_stream asserts it.
+// The pool lives in a CoveringClasses (localization/covering_sets.hpp),
+// the structure batch localize() enumerates with, grouped into signature
+// classes by each node's set of known-down paths. A report touches only
+// the nodes of its path: an Up report drops the newly exonerated ones, a
+// Down report moves each pooled one to the class that adds the path. Then
+// the class-combination search counts the consistent sets, Σ Π
+// C(|class|, picks), without building one. That count is what status()
+// and AmbiguityEvent report and what the "list changed" test compares.
 //
-// Narrowing transitions are handled by filtering the existing candidate
-// list (both conditions are antitone in the evidence: a new up-path can
-// only shrink the pool, a new down-path can only add a covering
-// constraint), which keeps the order; flap transitions invalidate
-// monotonicity and trigger one full re-enumeration over the current
-// evidence — counted in StreamStats::reenumerations.
+// Lists are built only when asked for — consistent_sets(), result(), and
+// the one set of a LocalizationEvent — by the same search's expand path,
+// so once every path is observed the streamed list equals batch
+// localize() element for element; test_stream asserts it.
+//
+// The "list changed" test needs no list. A narrowing report can only
+// shrink the list (a new up-path shrinks the pool, a new down-path adds a
+// covering constraint), and a move to Unknown can only grow it, so there
+// the list changed iff the count did. Across Up <-> Down the lists share
+// no set: on the Up side every set avoids the path's nodes, on the Down
+// side every set holds one, so the list changed unless both are empty.
+// (Counts saturate at SIZE_MAX, so a change among more sets goes unseen.)
+// Flaps still count in StreamStats::reenumerations.
 //
 // Event emission (all through the EventBus, outside the ingest lock):
 //   Detection     down-path count 0 -> 1 (re-arms when it returns to 0)
@@ -48,6 +55,7 @@
 #include <vector>
 
 #include "engine/snapshot.hpp"
+#include "localization/covering_sets.hpp"
 #include "localization/localizer.hpp"
 #include "monitoring/path.hpp"
 #include "stream/bus.hpp"
@@ -66,7 +74,7 @@ struct IngestStatus {
   std::size_t observed = 0;        ///< paths with a known state
   std::size_t down = 0;            ///< paths currently down
   bool detected = false;           ///< inside a detected failure episode
-  std::size_t consistent_sets = 0; ///< current candidate failure sets
+  std::size_t consistent_sets = 0; ///< candidate failure sets (saturating)
   bool unique = false;             ///< exactly one candidate set remains
 };
 
@@ -129,12 +137,6 @@ class ObservationIngest {
   EventHeader header(std::uint64_t timestamp_us) const;
   void apply_transition(std::uint32_t path, PathState old_state,
                         PathState new_state);
-  /// Every candidate set over the current evidence, enumerated anew.
-  /// Caller holds mutex_.
-  std::vector<std::vector<NodeId>> covering_sets() const;
-  /// Drops candidates violating the newly known state of `path`.
-  void filter_candidates(std::uint32_t path, PathState new_state);
-  std::size_t suspect_count() const;
 
   const std::uint64_t stream_id_;
   const std::shared_ptr<const engine::TopologySnapshot> snapshot_;
@@ -151,12 +153,14 @@ class ObservationIngest {
   std::vector<std::uint32_t> up_count_;    ///< per node
   std::vector<std::uint32_t> down_count_;  ///< per node
   DynamicBitset known_paths_;
-  DynamicBitset down_paths_;
+  /// The pool by signature class; its target is the known-down paths. The
+  /// const readers build lists through it, and its search reuses buffers.
+  mutable CoveringClasses classes_;
+  std::size_t candidate_count_ = 0;  ///< consistent sets; 0 with no down path
+  std::size_t suspects_ = 0;  ///< pooled nodes on a known-down path
   std::uint64_t sequence_ = 0;
   std::uint64_t epoch_us_ = 0;
   bool episode_detected_ = false;
-  bool enumerated_ = false;
-  std::vector<std::vector<NodeId>> candidates_;
 };
 
 }  // namespace splace::stream

@@ -20,7 +20,7 @@ struct StreamStats {
   std::uint64_t detections = 0;       ///< DetectionEvent emissions
   std::uint64_t localizations = 0;    ///< LocalizationEvent emissions
   std::uint64_t ambiguity_events = 0; ///< AmbiguityEvent emissions
-  std::uint64_t reenumerations = 0;   ///< full re-enumerations forced by flaps
+  std::uint64_t reenumerations = 0;   ///< flaps that re-derived the candidates
   engine::LatencyStats detect_latency;    ///< time-to-detect per episode
   engine::LatencyStats localize_latency;  ///< time-to-unique-set per episode
 };

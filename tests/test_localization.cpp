@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "localization/covering_sets.hpp"
 #include "localization/observation.hpp"
@@ -277,6 +278,74 @@ TEST(Localizer, CoveringSetsRejectUnsortedPool) {
                ContractViolation);
   EXPECT_THROW(covering_failure_sets({1, 1}, paths.node_incidence(), target, 1),
                ContractViolation);
+}
+
+std::vector<NodeId> pooled_nodes(const std::vector<bool>& pooled) {
+  std::vector<NodeId> pool;
+  for (NodeId v = 0; v < pooled.size(); ++v)
+    if (pooled[v]) pool.push_back(v);
+  return pool;
+}
+
+TEST(Localizer, KeptClassesMatchAFreshGroupingAfterEveryUpdate) {
+  // The streaming ingest's use: one CoveringClasses kept through target
+  // toggles and pool changes, re-filing only the nodes of the toggled
+  // path. Its count and its sets must equal a fresh grouping of the same
+  // pool — and the count the number of sets — after every update, across
+  // enough class churn to rebuild the table several times.
+  Rng rng(24);
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t n = 3 + rng.index(6);
+    const PathSet paths =
+        testing::random_path_set(n, 2 + rng.index(70), 4, rng);
+    const std::vector<DynamicBitset> incidence = paths.node_incidence();
+    const std::size_t k = rng.index(4);
+    CoveringClasses kept(incidence, paths.size());
+    std::vector<bool> pooled(n, true);
+    for (int step = 0; step < 200; ++step) {
+      const std::size_t p = rng.index(paths.size());
+      kept.set_target(p, rng.bernoulli(0.5));
+      for (NodeId v : paths[p].nodes()) {
+        if (rng.bernoulli(0.2)) pooled[v] = !pooled[v];
+        kept.assign(v, pooled[v]);
+      }
+      const std::vector<std::vector<NodeId>> expected = covering_failure_sets(
+          pooled_nodes(pooled), incidence, kept.target(), k);
+      ASSERT_EQ(kept.count(k), expected.size())
+          << "trial " << trial << ", step " << step;
+      ASSERT_EQ(kept.sets(k), expected)
+          << "trial " << trial << ", step " << step;
+    }
+    kept.reset();
+    EXPECT_TRUE(kept.target().none());
+    EXPECT_EQ(kept.sets(k),
+              covering_failure_sets(pooled_nodes(std::vector<bool>(n, true)),
+                                    incidence, kept.target(), k));
+  }
+}
+
+TEST(Localizer, CoveringCountSaturatesInsteadOfWrapping) {
+  constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
+  // 63 nodes on no path and nothing failed: every subset is consistent,
+  // 2^63 of them, which still fits.
+  const PathSet off_path = testing::make_paths(63, {});
+  const std::vector<DynamicBitset> none = off_path.node_incidence();
+  CoveringClasses all(none, off_path.size());
+  EXPECT_EQ(all.count(63), std::size_t{1} << 63);
+  EXPECT_EQ(all.count(1), 64u);
+
+  // Nodes 0 and 1 on the failed path, 63 more on no path, k = 64: the
+  // sets number 2 * 2^63 + (2^63 - 1). A wrapping product would drop the
+  // first term to 0 and report 2^63 - 1.
+  const PathSet paths = testing::make_paths(65, {{0, 1}});
+  DynamicBitset failed(paths.size());
+  failed.set(0);
+  std::vector<NodeId> pool(65);
+  for (NodeId v = 0; v < pool.size(); ++v) pool[v] = v;
+  const std::vector<DynamicBitset> incidence = paths.node_incidence();
+  CoveringClasses classes(pool, incidence, failed);
+  EXPECT_EQ(classes.count(64), kSaturated);
+  EXPECT_EQ(classes.count(2), 2u * 64u + 1u);
 }
 
 TEST(Localizer, SizeMismatchRejected) {

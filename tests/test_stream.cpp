@@ -9,16 +9,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/splace.hpp"
 #include "core/experiment.hpp"
 #include "engine/engine.hpp"
+#include "graph/generators.hpp"
 #include "localization/localizer.hpp"
 #include "localization/observation.hpp"
+#include "placement/baselines.hpp"
 #include "stream/bus.hpp"
 #include "test_helpers.hpp"
 #include "topology/catalog.hpp"
@@ -50,6 +56,27 @@ struct Fixture {
   static Fixture wide() {
     Rng rng(64);
     return Fixture(splace::testing::random_instance(40, 70, 8, 12, 0.6, rng));
+  }
+
+  /// A line of `nodes` nodes. Each (host, client) pair is one service
+  /// hosted at `host` whose clients are the host and `client`, so it
+  /// measures the stretch between them; nodes outside every stretch lie on
+  /// no path.
+  static Fixture line(std::size_t nodes,
+                      const std::vector<std::pair<NodeId, NodeId>>& spans) {
+    std::vector<Service> services;
+    for (const auto& [host, client] : spans) {
+      Service service;
+      service.name = "s";
+      service.name += std::to_string(services.size());
+      service.clients = {host, client};
+      service.alpha = 1.0;
+      services.push_back(std::move(service));
+    }
+    Fixture fx(ProblemInstance(path_graph(nodes), std::move(services)));
+    fx.placement.clear();
+    for (const auto& span : spans) fx.placement.push_back(span.first);
+    return fx;
   }
 
   std::unique_ptr<ObservationIngest> ingest(std::size_t k, EventBus* bus,
@@ -85,38 +112,41 @@ std::vector<std::uint32_t> identity_order(std::size_t n) {
   return order;
 }
 
-/// Reference for mid-stream checks: brute-force enumeration of every set
-/// of <= k nodes where no member touches a known-up path and the known-down
-/// paths are covered — the partial-observation consistency condition.
-void brute_force(const PathSet& paths, const std::vector<PathState>& states,
-                 std::size_t k, std::vector<NodeId>& current, NodeId next,
-                 std::vector<std::vector<NodeId>>& out) {
-  const DynamicBitset affected = paths.affected_paths(current);
-  bool consistent = true;
-  for (std::uint32_t p = 0; p < paths.size(); ++p) {
-    if (states[p] == PathState::Down && !affected.test(p)) consistent = false;
-    if (states[p] == PathState::Up && [&] {
-          for (NodeId v : current)
-            if (paths[p].traverses(v)) return true;
-          return false;
-        }())
-      consistent = false;
-  }
-  if (consistent) out.push_back(current);
-  if (current.size() == k) return;
-  for (NodeId v = next; v < paths.node_count(); ++v) {
-    current.push_back(v);
-    brute_force(paths, states, k, current, v + 1, out);
-    current.pop_back();
-  }
+DynamicBitset paths_in(const std::vector<PathState>& states,
+                        PathState state) {
+  DynamicBitset out(states.size());
+  for (std::size_t p = 0; p < states.size(); ++p)
+    if (states[p] == state) out.set(p);
+  return out;
 }
 
+/// Reference for mid-stream checks: every set of <= k nodes, walked in
+/// lexicographic order, where no member touches a known-up path and the
+/// known-down paths are covered — the partial-observation consistency
+/// condition. A node on a known-up path is skipped with every extension.
 std::vector<std::vector<NodeId>> brute_force_sets(
     const PathSet& paths, const std::vector<PathState>& states,
     std::size_t k) {
+  const DynamicBitset up = paths_in(states, PathState::Up);
+  const DynamicBitset down = paths_in(states, PathState::Down);
+  const std::vector<DynamicBitset> incidence = paths.node_incidence();
+  std::vector<DynamicBitset> covered(k + 1, DynamicBitset(paths.size()));
   std::vector<NodeId> current;
   std::vector<std::vector<NodeId>> out;
-  brute_force(paths, states, k, current, 0, out);
+  const std::function<void(NodeId)> walk = [&](NodeId next) {
+    const std::size_t depth = current.size();
+    if (down.is_subset_of(covered[depth])) out.push_back(current);
+    if (depth == k) return;
+    for (NodeId v = next; v < paths.node_count(); ++v) {
+      if (incidence[v].intersects(up)) continue;
+      covered[depth + 1] = covered[depth];
+      covered[depth + 1] |= incidence[v];
+      current.push_back(v);
+      walk(v + 1);
+      current.pop_back();
+    }
+  };
+  walk(0);
   return out;
 }
 
@@ -270,6 +300,248 @@ TEST(StreamIngest, ValidationErrors) {
                                    ingest->path_count()),
                                PathState::Up, 1),
                InvalidInput);
+}
+
+// --- Per-report oracle: the count, every event, and the stats. ---
+
+/// The ingest's event rules applied to brute-force candidate lists that are
+/// recomputed after every report: what the incremental ingest must publish.
+class ReferenceIngest {
+ public:
+  ReferenceIngest(const PathSet& paths, std::size_t k, EventHeader stream)
+      : paths_(paths),
+        incidence_(paths.node_incidence()),
+        k_(k),
+        stream_(stream),
+        states_(paths.size(), PathState::Unknown) {}
+
+  void begin_episode(std::uint64_t epoch_us) {
+    std::fill(states_.begin(), states_.end(), PathState::Unknown);
+    sets_.clear();
+    epoch_us_ = epoch_us;
+    detected_ = false;
+  }
+
+  /// Applies one report and returns the events it publishes.
+  std::vector<StreamEvent> observe(std::uint32_t path, PathState state,
+                                   std::uint64_t timestamp_us) {
+    ++sequence_;
+    const PathState old_state = states_[path];
+    metrics_.record_observation(old_state != state);
+    if (old_state == state) return {};
+    const bool listed = any_down();
+    states_[path] = state;
+
+    EventHeader head = stream_;
+    head.sequence = sequence_;
+    head.timestamp_us = timestamp_us;
+    head.latency_us = timestamp_us >= epoch_us_ ? timestamp_us - epoch_us_ : 0;
+    const double latency_s = static_cast<double>(head.latency_us) / 1e6;
+    std::vector<StreamEvent> events;
+    if (state == PathState::Down && !detected_) {
+      detected_ = true;
+      events.emplace_back(std::in_place_type<DetectionEvent>,
+                          DetectionEvent{head, path});
+      metrics_.record_detection(latency_s);
+    }
+    if (!any_down()) {
+      detected_ = false;
+      sets_.clear();
+      return events;
+    }
+
+    std::vector<std::vector<NodeId>> sets =
+        brute_force_sets(paths_, states_, k_);
+    if (listed && old_state != PathState::Unknown)
+      metrics_.record_reenumeration();
+    const bool changed = !listed || sets != sets_;
+    sets_ = std::move(sets);
+    if (!changed) return events;
+    if (sets_.size() == 1) {
+      events.emplace_back(
+          std::in_place_type<LocalizationEvent>,
+          LocalizationEvent{head, sets_.front(), suspects(),
+                            std::count(states_.begin(), states_.end(),
+                                       PathState::Unknown) == 0});
+      metrics_.record_localization(latency_s);
+    } else {
+      events.emplace_back(std::in_place_type<AmbiguityEvent>,
+                          AmbiguityEvent{head, sets_.size(), suspects()});
+      metrics_.record_ambiguity();
+    }
+    return events;
+  }
+
+  const std::vector<std::vector<NodeId>>& sets() const { return sets_; }
+  PathState state(std::uint32_t path) const { return states_[path]; }
+  StreamStats stats() const { return metrics_.snapshot(); }
+
+ private:
+  bool any_down() const {
+    return std::find(states_.begin(), states_.end(), PathState::Down) !=
+           states_.end();
+  }
+
+  /// Nodes on a known-down path and on no known-up path.
+  std::size_t suspects() const {
+    const DynamicBitset up = paths_in(states_, PathState::Up);
+    const DynamicBitset down = paths_in(states_, PathState::Down);
+    std::size_t count = 0;
+    for (const DynamicBitset& row : incidence_)
+      if (!row.intersects(up) && row.intersects(down)) ++count;
+    return count;
+  }
+
+  const PathSet& paths_;
+  const std::vector<DynamicBitset> incidence_;
+  const std::size_t k_;
+  const EventHeader stream_;
+  std::vector<PathState> states_;
+  std::vector<std::vector<NodeId>> sets_;
+  StreamMetrics metrics_;
+  std::uint64_t sequence_ = 0;
+  std::uint64_t epoch_us_ = 0;
+  bool detected_ = false;
+};
+
+PathState opposite(PathState state) {
+  return state == PathState::Down ? PathState::Up : PathState::Down;
+}
+
+/// Streams random reports into an ingest and the reference side by side
+/// over several episodes: mostly true states, with Up <-> Down flaps,
+/// resets to Unknown, duplicate reports and a full clear, then the truth
+/// for every path. After every report the ingest's count must equal the
+/// reference's list size and its published events the reference's; the
+/// lists themselves are compared every few reports, the stats at the end.
+void expect_ingest_matches_reference(const Fixture& fx, std::size_t k,
+                                     std::uint64_t seed) {
+  EventBus bus;
+  auto subscription = bus.subscribe(
+      {event_bit(EventKind::Detection) | event_bit(EventKind::Localization) |
+           event_bit(EventKind::Ambiguity),
+       1 << 12, DropPolicy::DropNew});
+  StreamMetrics metrics;
+  ObservationIngest ingest(5, fx.snapshot, fx.placement, k, &bus, &metrics);
+  const PathSet& paths = ingest.paths();
+  EventHeader stream;
+  stream.stream = 5;
+  stream.snapshot = fx.snapshot->hash();
+  ReferenceIngest reference(paths, k, stream);
+
+  Rng rng(seed);
+  std::uint64_t t = 0;
+  const auto report = [&](std::uint32_t path, PathState state) {
+    ++t;
+    ingest.observe(path, state, t);
+    std::vector<std::string> wanted;
+    for (const StreamEvent& event : reference.observe(path, state, t))
+      wanted.push_back(to_json(event));
+    std::vector<std::string> published;
+    for (const auto& event : subscription->poll())
+      published.push_back(to_json(*event));
+    const IngestStatus status = ingest.status();
+    EXPECT_EQ(status.consistent_sets, reference.sets().size())
+        << "k " << k << ", report " << t;
+    EXPECT_EQ(status.unique, reference.sets().size() == 1);
+    EXPECT_EQ(published, wanted) << "k " << k << ", report " << t;
+    if (t % 5 == 0) {
+      EXPECT_EQ(ingest.consistent_sets(), reference.sets());
+    }
+  };
+
+  for (int episode = 0; episode < 3 && !::testing::Test::HasFailure();
+       ++episode) {
+    t += 1000;
+    ingest.begin_episode(t);
+    reference.begin_episode(t);
+    const FailureScenario scenario =
+        random_scenario(paths, 1 + rng.index(k + 1), rng);
+    const auto truth = [&](std::uint32_t p) {
+      return scenario.failed_paths.test(p) ? PathState::Down : PathState::Up;
+    };
+    const std::size_t noisy = 2 * paths.size();
+    for (std::size_t step = 0; step < noisy; ++step) {
+      if (::testing::Test::HasFailure()) return;
+      if (step == noisy / 2) {
+        // Full clear: every down path comes back up.
+        for (std::uint32_t p = 0; p < paths.size(); ++p)
+          if (reference.state(p) == PathState::Down) report(p, PathState::Up);
+      }
+      const auto p = static_cast<std::uint32_t>(rng.index(paths.size()));
+      const double draw = rng.uniform01();
+      report(p, draw < 0.6   ? truth(p)
+                : draw < 0.8 ? opposite(truth(p))
+                             : PathState::Unknown);
+    }
+    auto order = identity_order(paths.size());
+    rng.shuffle(order);
+    for (std::uint32_t p : order) report(p, truth(p));
+    EXPECT_EQ(ingest.consistent_sets(), reference.sets());
+  }
+  EXPECT_EQ(to_json(metrics.snapshot()), to_json(reference.stats()));
+  EXPECT_GT(metrics.snapshot().reenumerations, 0u);
+}
+
+TEST(StreamIngest, ReportByReportMatchesReference) {
+  const Fixture abovenet;
+  const Fixture wide = Fixture::wide();
+  for (std::size_t k = 1; k <= 3; ++k) {
+    for (std::uint64_t draw = 1; draw <= 2; ++draw) {
+      Fixture fx = abovenet;
+      Rng rng(10 * k + draw);
+      fx.placement = random_placement(fx.snapshot->instance(), rng);
+      expect_ingest_matches_reference(fx, k, 10 * k + draw);
+    }
+    Fixture fx = wide;
+    Rng rng(k);
+    fx.placement = random_placement(fx.snapshot->instance(), rng);
+    ASSERT_GT(fx.ingest(k, nullptr, nullptr)->path_count(), 64u);
+    expect_ingest_matches_reference(fx, k, k);
+  }
+}
+
+TEST(StreamIngest, ClassLargerThanKMatchesReference) {
+  // Two overlapping stretches of a 12-node line: with both down, nodes
+  // 0-3, 4-7 and 8-11 form three classes of four, and k = 2 or 3 picks
+  // several members of one class.
+  const Fixture line = Fixture::line(12, {{0, 7}, {11, 4}});
+  for (std::size_t k = 2; k <= 3; ++k)
+    expect_ingest_matches_reference(line, k, 100 + k);
+}
+
+TEST(StreamIngest, CountSaturatesPastTwoToThe64) {
+  // One stretch of 66 nodes and 14 nodes on no path. With the stretch down
+  // and k = 80, (2^66 - 1) * 2^14 sets cover it: the count must saturate,
+  // not wrap to 2^64 - 2^14.
+  const Fixture line = Fixture::line(80, {{0, 65}});
+  const auto stretch_path = [](const ObservationIngest& ingest) {
+    for (std::uint32_t p = 0; p < ingest.path_count(); ++p)
+      if (ingest.paths()[p].nodes().size() == 66) return p;
+    ADD_FAILURE() << "no 66-node path";
+    return std::uint32_t{0};
+  };
+  EventBus bus;
+  auto subscription = bus.subscribe(
+      {event_bit(EventKind::Ambiguity), 16, DropPolicy::DropNew});
+  ObservationIngest ingest(1, line.snapshot, line.placement, 80, &bus,
+                           nullptr);
+  ingest.observe(stretch_path(ingest), PathState::Down, 1);
+  constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(ingest.status().consistent_sets, kSaturated);
+  const auto events = subscription->poll();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(std::get<AmbiguityEvent>(*events.front()).consistent_sets,
+            kSaturated);
+
+  // At k = 3 the count is exact: every set of at most three of the 80
+  // nodes, less those drawn from the 14 off the stretch alone.
+  ObservationIngest small(2, line.snapshot, line.placement, 3, nullptr,
+                          nullptr);
+  small.observe(stretch_path(small), PathState::Down, 1);
+  EXPECT_EQ(small.status().consistent_sets,
+            (80u + 3160u + 82160u) - (14u + 91u + 364u));
+  EXPECT_EQ(small.consistent_sets().size(), small.status().consistent_sets);
 }
 
 // --- Event emission through the bus. ---
