@@ -11,13 +11,16 @@
 //     stream::ObservationIngest, and candidate roots ranked by the
 //     dependency-depth-weighted score (cascade/root_cause.hpp). Reported:
 //     top-1 / top-3 root-cause accuracy and blast radius.
-//   * one full CascadeEngine run: the base MTBF/MTTR failure processes
-//     with the cascade overlay. Reported: cascades started/contained,
-//     mean containment time, request availability.
+//   * one full CascadeEngine run: the cascade overlay on the simulator's
+//     one event loop, which drives the base MTBF/MTTR failure processes.
+//     Reported: cascades started/contained, mean containment time, request
+//     availability.
 //
 // Exit-code gates (run in every mode; --smoke only shrinks the sweep):
-//   * zero-dependency equivalence: a CascadeEngine run with no edges is
-//     bit-identical to sim::simulate_traced (report + per-epoch trace);
+//   * zero-dependency equivalence: without edges the overlay on the one
+//     loop never holds a node down or asks for a tick, so a CascadeEngine
+//     run must be bit-identical to sim::simulate_traced (report + per-epoch
+//     trace);
 //   * streamed == batch: every episode's streamed candidate sets equal
 //     batch localize() on the same evidence;
 //   * zero event drops, and >= 1 cascade detected overall.
@@ -138,7 +141,8 @@ sim::SimConfig sim_config(std::uint64_t seed, bool smoke) {
   return config;
 }
 
-/// The zero-dependency equivalence gate for one (topology, placement).
+/// The zero-dependency equivalence gate for one (topology, placement): the
+/// same loop run with and without an edge-less cascade overlay.
 bool equivalence_holds(const ProblemInstance& instance,
                        const Placement& placement, std::uint64_t seed,
                        bool smoke) {
@@ -244,7 +248,8 @@ int main(int argc, char** argv) {
       const Placement placement =
           compute_placement(instance, algo, place_rng);
 
-      // Gate: the overlay is inert without dependency edges.
+      // Gate: the overlay on the one loop is inert without dependency
+      // edges.
       if (!equivalence_holds(instance, placement, 1000 + cells.size(),
                              smoke)) {
         std::cerr << "FAIL: zero-dependency cascade run diverged from "

@@ -16,11 +16,11 @@ ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_dynamic test_dynamic_engine test_engine_trace test_api test_stream \
   test_metrics_text test_path_arena test_kernels test_stochastic \
   test_cascade test_shard test_algorithm_registry test_portfolio \
-  test_localization"
+  test_localization test_sim test_sim_trace"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio \
-  test_localization test_stream"
+  test_localization test_stream test_sim test_sim_trace"
 
 require_suites() {
   dir="$1"; shift
@@ -48,26 +48,29 @@ ctest --test-dir build-tsan --output-on-failure \
 # futures, a shared LRU cache, and snapshots that share routing trees and
 # path sets across derived instances — lifetime bugs show up here first.
 # The localizer suites ride along for the enumerator's flat signature and
-# record buffers.
+# record buffers, and the simulator suites for the one event loop and its
+# overlay hook (the cascade suite drives the hook; these drive the noise and
+# untraced paths only they reach).
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.
 # The failure-set enumerator's word ORs and combination indexing (batch
-# localizer and streaming ingest) run here too.
+# localizer and streaming ingest) run here too, as does the simulator's
+# event loop with and without the cascade overlay.
 cmake -B build-ubsan -G Ninja -DSPLACE_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-ubsan --target $UBSAN_SUITES
 require_suites build-ubsan $UBSAN_SUITES
 ctest --test-dir build-ubsan --output-on-failure \
-  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest"
+  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace"
 
 # Scalar-dispatch leg: the same suites with SPLACE_FORCE_SCALAR=1, proving
 # the env override pins the portable kernels and that they stand alone
@@ -96,7 +99,8 @@ build/bench/bench_scale --smoke
 # Cascade smoke leg: bench_cascade --smoke exits nonzero unless >= 1
 # cascade was detected, zero events were dropped, every episode's streamed
 # candidate sets matched batch localization, and a zero-dependency
-# CascadeEngine run stayed bit-identical to the base simulator.
+# CascadeEngine run (the cascade overlay on the simulator's one event loop)
+# stayed bit-identical to the base simulator.
 build/bench/bench_cascade --smoke --out BENCH_cascade_smoke.json
 rm -f BENCH_cascade_smoke.json
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <utility>
 
-#include "localization/localizer.hpp"
 #include "util/error.hpp"
 
 namespace splace::cascade {
@@ -13,41 +11,13 @@ namespace splace::cascade {
 std::string CascadeConfig::validate() const {
   if (std::string error = sim.validate(); !error.empty()) return error;
   if (!(tick > 0)) return "CascadeConfig.tick must be positive";
+  if (sim.duration / tick > sim::kMaxFiringsPerProcess)
+    return "CascadeConfig.tick is too short: more than 1e7 ticks over "
+           "sim.duration";
   return {};
 }
 
 namespace {
-
-// The base simulator's event machinery (sim/simulator.cpp), extended with
-// one kind. CascadeTick events are only scheduled once a cascade starts,
-// and every cascade coin flip draws from a separate RNG, so a run with
-// zero dependency edges consumes the base RNG stream in exactly the base
-// order and sees exactly the base event sequence — the bit-identical
-// equivalence the tests pin down.
-enum class EventKind {
-  RequestArrival,
-  NodeFail,
-  NodeRepair,
-  EpochEnd,
-  CascadeTick
-};
-
-struct Event {
-  double time = 0;
-  std::uint64_t seq = 0;  ///< tie-break so ordering is deterministic
-  EventKind kind = EventKind::EpochEnd;
-  std::size_t subject = 0;  ///< request stream index or node id
-
-  bool operator>(const Event& other) const {
-    if (time != other.time) return time > other.time;
-    return seq > other.seq;
-  }
-};
-
-double exponential(double mean, Rng& rng) {
-  // Inverse-CDF sampling; uniform01() < 1 keeps the log argument positive.
-  return -mean * std::log(1.0 - rng.uniform01());
-}
 
 constexpr std::size_t kNoCascade = static_cast<std::size_t>(-1);
 
@@ -64,6 +34,178 @@ void insert_sorted_unique(std::vector<T>& values, T value) {
   auto it = std::lower_bound(values.begin(), values.end(), value);
   if (it == values.end() || *it != value) values.insert(it, value);
 }
+
+/// The cascade itself, run as an overlay on the simulator's event loop:
+/// secondary failures and their causes, the cascade records, its own RNG
+/// and bus events, and the heal/propagate/contain tick. Tick requests are
+/// made only once a cascade starts, so without dependency edges the loop
+/// runs exactly as sim::simulate_traced.
+class CascadeOverlay final : public sim::Overlay {
+ public:
+  CascadeOverlay(std::size_t node_count, const Placement& placement,
+                 const DependencyGraph& deps, const CascadeConfig& config,
+                 stream::EventBus* bus, std::uint64_t stream_id,
+                 std::uint64_t snapshot_hash)
+      : placement_(placement),
+        deps_(deps),
+        tick_(config.tick),
+        bus_(bus),
+        stream_id_(stream_id),
+        snapshot_hash_(snapshot_hash),
+        rng_(config.cascade_seed != 0 ? config.cascade_seed
+                                      : (config.sim.seed ^ kCascadeSeedSalt)),
+        services_on_(node_count),
+        secondary_(placement.size(), false),
+        cause_(placement.size(), kNoCascade),
+        secondary_on_(node_count, 0) {
+    for (std::size_t s = 0; s < placement_.size(); ++s)
+      services_on_[placement_[s]].push_back(s);
+  }
+
+  // A node is effectively down while any service it hosts is
+  // secondary-failed.
+  bool down(NodeId v) const override { return secondary_on_[v] > 0; }
+
+  // Each hosted service with dependents roots a cascade (unless it is
+  // already implicated in a live one).
+  double on_node_fail(NodeId v, double time) override {
+    double next_tick = -1;
+    for (std::size_t s : services_on_[v]) {
+      if (cause_[s] != kNoCascade) continue;
+      if (!deps_.has_dependents(s)) continue;
+      cause_[s] = cascades.size();
+      CascadeRecord record;
+      record.root_service = s;
+      record.root_node = v;
+      record.start_time = time;
+      record.blast_services.push_back(s);
+      record.blast_nodes.push_back(v);
+      cascades.push_back(std::move(record));
+      live_.push_back(true);
+      if (bus_ != nullptr)
+        bus_->publish(stream::CascadeStartEvent{header(time, 0.0), s, v});
+      if (!tick_pending_) {
+        next_tick = time + tick_;
+        tick_pending_ = true;
+      }
+    }
+    return next_tick;
+  }
+
+  double on_tick(double time, const std::vector<bool>& node_up) override {
+    const std::size_t service_count = placement_.size();
+    // A service is down when its host is base-down or it is
+    // secondary-failed.
+    auto service_down = [&](std::size_t s) {
+      return !node_up[placement_[s]] || secondary_[s];
+    };
+    std::vector<bool> pre(service_count);
+    for (std::size_t s = 0; s < service_count; ++s) pre[s] = service_down(s);
+
+    // Heal pass, upstream-first: a secondary failure clears only once
+    // every upstream was up at the previous tick — recovery walks back
+    // down the dependency chain one level per tick.
+    for (std::size_t s = 0; s < service_count; ++s) {
+      if (!secondary_[s]) continue;
+      bool upstream_clear = true;
+      for (std::uint32_t ei : deps_.edges_into(s)) {
+        if (pre[deps_.edges()[ei].upstream]) {
+          upstream_clear = false;
+          break;
+        }
+      }
+      if (upstream_clear) {
+        secondary_[s] = false;
+        --secondary_on_[placement_[s]];
+        cause_[s] = kNoCascade;
+      }
+    }
+
+    // Propagation pass over the post-heal snapshot: each live downstream
+    // of a down (implicated) upstream falls with the edge's strength.
+    // Snapshot semantics = one dependency level per tick.
+    std::vector<bool> post(service_count);
+    for (std::size_t s = 0; s < service_count; ++s) post[s] = service_down(s);
+    for (std::size_t ei = 0; ei < deps_.edge_count(); ++ei) {
+      const DependencyEdge& edge = deps_.edges()[ei];
+      const std::size_t ci = cause_[edge.upstream];
+      if (ci == kNoCascade) continue;
+      if (!post[edge.upstream]) continue;
+      if (post[edge.downstream] || secondary_[edge.downstream]) continue;
+      if (!rng_.bernoulli(edge.strength)) continue;
+
+      secondary_[edge.downstream] = true;
+      cause_[edge.downstream] = ci;
+      const NodeId host = placement_[edge.downstream];
+      ++secondary_on_[host];
+      ++secondary_failures;
+      CascadeRecord& record = cascades[ci];
+      const std::size_t tick_index = static_cast<std::size_t>(
+          std::lround((time - record.start_time) / tick_));
+      record.propagations.push_back(PropagationRecord{
+          time, tick_index, edge.upstream, edge.downstream, host});
+      insert_sorted_unique(record.blast_services, edge.downstream);
+      insert_sorted_unique(record.blast_nodes, host);
+      if (bus_ != nullptr)
+        bus_->publish(stream::PropagationEvent{
+            header(time, time - record.start_time), edge.upstream,
+            edge.downstream, host, tick_index});
+    }
+
+    // Containment: a cascade ends once its root is effectively up and no
+    // attributed secondary failure remains.
+    std::vector<std::size_t> members(cascades.size(), 0);
+    for (std::size_t s = 0; s < service_count; ++s)
+      if (secondary_[s] && cause_[s] != kNoCascade) ++members[cause_[s]];
+    bool any_live = false;
+    for (std::size_t ci = 0; ci < cascades.size(); ++ci) {
+      if (!live_[ci]) continue;
+      CascadeRecord& record = cascades[ci];
+      if (!service_down(record.root_service) && members[ci] == 0) {
+        record.contained = true;
+        record.contained_time = time;
+        live_[ci] = false;
+        if (cause_[record.root_service] == ci)
+          cause_[record.root_service] = kNoCascade;
+      } else {
+        any_live = true;
+      }
+    }
+
+    if (any_live) return time + tick_;
+    tick_pending_ = false;
+    return -1;
+  }
+
+  std::vector<CascadeRecord> cascades;
+  std::size_t secondary_failures = 0;  ///< propagation edges fired
+
+ private:
+  stream::EventHeader header(double time, double since) {
+    stream::EventHeader h;
+    h.stream = stream_id_;
+    h.snapshot = snapshot_hash_;
+    h.sequence = out_seq_++;
+    h.timestamp_us = micros(time);
+    h.latency_us = micros(since);
+    return h;
+  }
+
+  const Placement& placement_;
+  const DependencyGraph& deps_;
+  const double tick_;
+  stream::EventBus* const bus_;
+  const std::uint64_t stream_id_;
+  const std::uint64_t snapshot_hash_;
+  Rng rng_;  ///< propagation coin flips; the loop's RNG is never touched
+  std::vector<std::vector<std::size_t>> services_on_;
+  std::vector<bool> secondary_;
+  std::vector<std::size_t> cause_;
+  std::vector<std::size_t> secondary_on_;
+  std::vector<bool> live_;  ///< parallel to cascades
+  bool tick_pending_ = false;
+  std::uint64_t out_seq_ = 0;  ///< bus event sequence
+};
 
 }  // namespace
 
@@ -82,328 +224,25 @@ CascadeEngine::CascadeEngine(const ProblemInstance& instance,
     throw InvalidInput(
         "DependencyGraph.service_count does not match the instance's "
         "service count");
-  SPLACE_EXPECTS(placement_.size() == instance_.service_count());
+  if (placement_.size() != instance_.service_count())
+    throw InvalidInput(
+        "CascadeEngine.placement must assign one host to every service");
+  for (std::size_t s = 0; s < placement_.size(); ++s)
+    if (!instance_.is_candidate(s, placement_[s]))
+      throw InvalidInput("CascadeEngine.placement[" + std::to_string(s) +
+                         "] is not a candidate host of its service");
 }
 
 CascadeRun CascadeEngine::run(stream::EventBus* bus, std::uint64_t stream_id,
                               std::uint64_t snapshot_hash) const {
-  const sim::SimConfig& sc = config_.sim;
-
-  // --- Base simulator setup, reproduced verbatim (sim/simulator.cpp). ---
-  const PathSet paths = instance_.paths_for_placement(placement_);
-
-  std::vector<std::size_t> stream_path;
-  for (std::size_t s = 0; s < placement_.size(); ++s) {
-    for (NodeId c : instance_.services()[s].clients) {
-      const MeasurementPath path(instance_.node_count(),
-                                 instance_.route(c, placement_[s]));
-      for (std::size_t i = 0; i < paths.size(); ++i) {
-        if (paths[i] == path) {
-          stream_path.push_back(i);
-          break;
-        }
-      }
-    }
-  }
-
-  Rng rng(sc.seed);
-  Rng cascade_rng(config_.cascade_seed != 0 ? config_.cascade_seed
-                                            : (sc.seed ^ kCascadeSeedSalt));
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
-  std::uint64_t seq = 0;
-  auto schedule = [&](double time, EventKind kind, std::size_t subject) {
-    if (time <= sc.duration) queue.push(Event{time, seq++, kind, subject});
-  };
-
-  for (std::size_t stream = 0; stream < stream_path.size(); ++stream)
-    schedule(exponential(1.0 / sc.request_rate, rng),
-             EventKind::RequestArrival, stream);
-  for (NodeId v = 0; v < instance_.node_count(); ++v)
-    schedule(exponential(sc.mtbf, rng), EventKind::NodeFail, v);
-  schedule(sc.epoch, EventKind::EpochEnd, 0);
-
-  std::vector<bool> node_up(instance_.node_count(), true);
-  struct ActiveFailure {
-    double fail_time = 0;
-    bool detected = false;
-  };
-  std::vector<ActiveFailure> active(instance_.node_count());
-
-  std::vector<bool> path_observed(paths.size(), false);
-  std::vector<bool> path_failed(paths.size(), false);
-
+  CascadeOverlay overlay(instance_.node_count(), placement_, deps_, config_,
+                         bus, stream_id, snapshot_hash);
   CascadeRun run;
-  double detection_latency_sum = 0;
-  double ambiguity_sum = 0;
+  run.report.sim = sim::simulate_overlay(instance_, placement_, config_.sim,
+                                         &run.epochs, &overlay);
+  run.cascades = std::move(overlay.cascades);
+  run.report.secondary_failures = overlay.secondary_failures;
 
-  // --- Cascade overlay state. ---
-  const std::size_t service_count = placement_.size();
-  std::vector<std::vector<std::size_t>> services_on(instance_.node_count());
-  for (std::size_t s = 0; s < service_count; ++s)
-    services_on[placement_[s]].push_back(s);
-
-  std::vector<bool> secondary(service_count, false);   ///< overlay failures
-  std::vector<std::size_t> cause(service_count, kNoCascade);
-  std::vector<std::size_t> secondary_on(instance_.node_count(), 0);
-  std::vector<bool> cascade_live;  ///< parallel to run.cascades
-  bool tick_pending = false;
-  std::uint64_t out_seq = 0;  ///< bus event sequence
-
-  // A node is effectively down when its base process says so or any
-  // hosted service is secondary-failed. The monitor only sees this.
-  auto effective_down = [&](NodeId v) {
-    return !node_up[v] || secondary_on[v] > 0;
-  };
-  auto make_header = [&](double time, double since) {
-    stream::EventHeader header;
-    header.stream = stream_id;
-    header.snapshot = snapshot_hash;
-    header.sequence = out_seq++;
-    header.timestamp_us = micros(time);
-    header.latency_us = micros(since);
-    return header;
-  };
-
-  while (!queue.empty()) {
-    const Event event = queue.top();
-    queue.pop();
-
-    switch (event.kind) {
-      case EventKind::RequestArrival: {
-        const std::size_t pi = stream_path[event.subject];
-        ++run.report.sim.requests_total;
-        bool ok = true;
-        for (NodeId v : paths[pi].nodes())
-          if (effective_down(v)) {
-            ok = false;
-            break;
-          }
-        if (!ok) ++run.report.sim.requests_failed;
-        bool observed_fail = !ok;
-        const double flip_prob = ok ? sc.observation_noise.false_positive
-                                    : sc.observation_noise.false_negative;
-        if (flip_prob > 0.0 && rng.bernoulli(flip_prob))
-          observed_fail = !observed_fail;
-        path_observed[pi] = true;
-        path_failed[pi] = path_failed[pi] || observed_fail;
-        schedule(event.time + exponential(1.0 / sc.request_rate, rng),
-                 EventKind::RequestArrival, event.subject);
-        break;
-      }
-
-      case EventKind::NodeFail: {
-        const NodeId v = static_cast<NodeId>(event.subject);
-        if (node_up[v]) {
-          node_up[v] = false;
-          active[v] = ActiveFailure{event.time, false};
-          ++run.report.sim.failures_injected;
-          schedule(event.time + exponential(sc.mttr, rng),
-                   EventKind::NodeRepair, v);
-          // Each hosted service with dependents roots a cascade (unless it
-          // is already implicated in a live one).
-          for (std::size_t s : services_on[v]) {
-            if (cause[s] != kNoCascade) continue;
-            if (!deps_.has_dependents(s)) continue;
-            cause[s] = run.cascades.size();
-            CascadeRecord record;
-            record.root_service = s;
-            record.root_node = v;
-            record.start_time = event.time;
-            record.blast_services.push_back(s);
-            record.blast_nodes.push_back(v);
-            run.cascades.push_back(std::move(record));
-            cascade_live.push_back(true);
-            if (bus != nullptr)
-              bus->publish(stream::CascadeStartEvent{
-                  make_header(event.time, 0.0), s, v});
-            if (!tick_pending) {
-              schedule(event.time + config_.tick, EventKind::CascadeTick, 0);
-              tick_pending = true;
-            }
-          }
-        }
-        break;
-      }
-
-      case EventKind::NodeRepair: {
-        const NodeId v = static_cast<NodeId>(event.subject);
-        node_up[v] = true;
-        schedule(event.time + exponential(sc.mtbf, rng), EventKind::NodeFail,
-                 v);
-        break;
-      }
-
-      case EventKind::EpochEnd: {
-        // Detection of base failures: detected once some *observed* failed
-        // path traverses the node (paths fail on effective state, so a
-        // cascade's extra failed paths can only speed this up).
-        for (NodeId v = 0; v < instance_.node_count(); ++v) {
-          if (node_up[v] || active[v].detected) continue;
-          for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-            if (path_observed[pi] && path_failed[pi] &&
-                paths[pi].traverses(v)) {
-              active[v].detected = true;
-              ++run.report.sim.failures_detected;
-              detection_latency_sum += event.time - active[v].fail_time;
-              break;
-            }
-          }
-        }
-
-        bool any_failed = false;
-        for (std::size_t pi = 0; pi < paths.size(); ++pi)
-          if (path_observed[pi] && path_failed[pi]) any_failed = true;
-        std::size_t down_count = 0;
-        for (NodeId v = 0; v < instance_.node_count(); ++v)
-          if (effective_down(v)) ++down_count;
-
-        sim::EpochRecord record;
-        record.time = event.time;
-        for (NodeId v = 0; v < instance_.node_count(); ++v)
-          if (effective_down(v)) record.down_nodes.push_back(v);
-        for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-          if (path_observed[pi]) ++record.observed_paths;
-          if (path_observed[pi] && path_failed[pi]) ++record.failed_paths;
-        }
-
-        if (any_failed && down_count <= sc.k) {
-          PathSet observed_paths(instance_.node_count());
-          std::vector<bool> states;
-          for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-            if (!path_observed[pi]) continue;
-            observed_paths.add(paths[pi]);
-            states.push_back(path_failed[pi]);
-          }
-          DynamicBitset failed_bits(observed_paths.size());
-          for (std::size_t i = 0; i < states.size(); ++i)
-            if (states[i]) failed_bits.set(i);
-
-          const LocalizationResult loc =
-              localize(observed_paths, failed_bits, sc.k);
-          ++run.report.sim.localizations_attempted;
-          if (loc.unique()) ++run.report.sim.localizations_unique;
-          ambiguity_sum += static_cast<double>(loc.ambiguity());
-
-          const std::vector<NodeId>& truth = record.down_nodes;
-          const bool truth_found =
-              std::find(loc.consistent_sets.begin(), loc.consistent_sets.end(),
-                        truth) != loc.consistent_sets.end();
-          if (truth_found) ++run.report.sim.localizations_containing_truth;
-          record.localization_ran = true;
-          record.candidates = loc.consistent_sets.size();
-          record.truth_among_candidates = truth_found;
-        }
-        run.epochs.epochs.push_back(std::move(record));
-
-        std::fill(path_observed.begin(), path_observed.end(), false);
-        std::fill(path_failed.begin(), path_failed.end(), false);
-        schedule(event.time + sc.epoch, EventKind::EpochEnd, 0);
-        break;
-      }
-
-      case EventKind::CascadeTick: {
-        // Pre-tick service state: a service is down when its host is
-        // base-down or it is secondary-failed.
-        std::vector<bool> pre(service_count);
-        for (std::size_t s = 0; s < service_count; ++s)
-          pre[s] = !node_up[placement_[s]] || secondary[s];
-
-        // Heal pass, upstream-first: a secondary failure clears only once
-        // every upstream was up at the previous tick — recovery walks back
-        // down the dependency chain one level per tick.
-        for (std::size_t s = 0; s < service_count; ++s) {
-          if (!secondary[s]) continue;
-          bool upstream_clear = true;
-          for (std::uint32_t ei : deps_.edges_into(s)) {
-            if (pre[deps_.edges()[ei].upstream]) {
-              upstream_clear = false;
-              break;
-            }
-          }
-          if (upstream_clear) {
-            secondary[s] = false;
-            --secondary_on[placement_[s]];
-            cause[s] = kNoCascade;
-          }
-        }
-
-        // Propagation pass over the post-heal snapshot: each live
-        // downstream of a down (implicated) upstream falls with the edge's
-        // strength. Snapshot semantics = one dependency level per tick.
-        std::vector<bool> post(service_count);
-        for (std::size_t s = 0; s < service_count; ++s)
-          post[s] = !node_up[placement_[s]] || secondary[s];
-        for (std::size_t ei = 0; ei < deps_.edge_count(); ++ei) {
-          const DependencyEdge& edge = deps_.edges()[ei];
-          const std::size_t ci = cause[edge.upstream];
-          if (ci == kNoCascade) continue;
-          if (!post[edge.upstream]) continue;
-          if (post[edge.downstream] || secondary[edge.downstream]) continue;
-          if (!cascade_rng.bernoulli(edge.strength)) continue;
-
-          secondary[edge.downstream] = true;
-          cause[edge.downstream] = ci;
-          const NodeId host = placement_[edge.downstream];
-          ++secondary_on[host];
-          ++run.report.secondary_failures;
-          CascadeRecord& record = run.cascades[ci];
-          const std::size_t tick_index = static_cast<std::size_t>(
-              std::lround((event.time - record.start_time) / config_.tick));
-          record.propagations.push_back(PropagationRecord{
-              event.time, tick_index, edge.upstream, edge.downstream, host});
-          insert_sorted_unique(record.blast_services, edge.downstream);
-          insert_sorted_unique(record.blast_nodes, host);
-          if (bus != nullptr)
-            bus->publish(stream::PropagationEvent{
-                make_header(event.time, event.time - record.start_time),
-                edge.upstream, edge.downstream, host, tick_index});
-        }
-
-        // Containment: a cascade ends once its root is effectively up and
-        // no attributed secondary failure remains.
-        std::vector<std::size_t> members(run.cascades.size(), 0);
-        for (std::size_t s = 0; s < service_count; ++s)
-          if (secondary[s] && cause[s] != kNoCascade) ++members[cause[s]];
-        bool any_live = false;
-        for (std::size_t ci = 0; ci < run.cascades.size(); ++ci) {
-          if (!cascade_live[ci]) continue;
-          CascadeRecord& record = run.cascades[ci];
-          const bool root_down = !node_up[placement_[record.root_service]] ||
-                                 secondary[record.root_service];
-          if (!root_down && members[ci] == 0) {
-            record.contained = true;
-            record.contained_time = event.time;
-            cascade_live[ci] = false;
-            if (cause[record.root_service] == ci)
-              cause[record.root_service] = kNoCascade;
-          } else {
-            any_live = true;
-          }
-        }
-
-        if (any_live) {
-          schedule(event.time + config_.tick, EventKind::CascadeTick, 0);
-        } else {
-          tick_pending = false;
-        }
-        break;
-      }
-    }
-  }
-
-  // --- Base report aggregates (sim/simulator.cpp formulas). ---
-  sim::SimReport& report = run.report.sim;
-  if (report.requests_total > 0)
-    report.availability = 1.0 - static_cast<double>(report.requests_failed) /
-                                    static_cast<double>(report.requests_total);
-  if (report.failures_detected > 0)
-    report.mean_detection_latency =
-        detection_latency_sum / static_cast<double>(report.failures_detected);
-  if (report.localizations_attempted > 0)
-    report.mean_ambiguity =
-        ambiguity_sum / static_cast<double>(report.localizations_attempted);
-
-  // --- Cascade aggregates. ---
   run.report.cascades_started = run.cascades.size();
   double blast_sum = 0;
   double containment_sum = 0;

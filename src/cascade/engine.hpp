@@ -1,5 +1,5 @@
-// Tick-based cascade simulation layered on the passive-monitoring
-// simulator (sim/simulator.hpp).
+// Tick-based cascade simulation, run as an overlay on the passive-monitoring
+// simulator's one event loop (sim::Overlay in sim/simulator.hpp).
 //
 // The base simulator injects *independent* node failures; this engine adds
 // the correlated layer real outages have: a DependencyGraph of service ->
@@ -10,20 +10,21 @@
 // tick), and secondary failures heal upstream-first — a service recovers
 // only once every upstream it depends on was up at the previous tick.
 //
-// The base failure/recovery and request processes are reproduced from the
-// simulator event loop *exactly*, drawing from the same RNG stream in the
-// same order, and all cascade randomness comes from a separate RNG; tick
-// events are only scheduled once a cascade actually starts. Consequence
-// (verified by tests and the bench_cascade smoke gate): with ZERO
-// dependency edges a CascadeEngine run is bit-identical to
-// sim::simulate_traced — same report, same per-epoch trace.
+// CascadeEngine::run() is sim::simulate_overlay() with the cascade as its
+// overlay: the loop keeps the base failure/recovery, request, epoch and
+// localization processes; the overlay keeps only the secondary failures,
+// their records, its own RNG and bus events, and the tick. It asks for a
+// tick only once a cascade starts, so with ZERO dependency edges a run is
+// the base loop unchanged — bit-identical to sim::simulate_traced, same
+// report, same per-epoch trace (pinned by tests and the bench_cascade
+// gate).
 //
 // What the monitor sees is the *effective* node state: a node is down when
 // its base failure process says so OR when any service hosted on it is
-// secondary-failed. Request outcomes, detection, and the per-epoch Boolean
-// tomography all use effective state, so localization runs against the
-// polluted observation vector cascades create — the regime the root-cause
-// analyzer (cascade/root_cause.hpp) is judged in.
+// secondary-failed. Request outcomes, and with them detection and the
+// per-epoch Boolean tomography, use effective state, so localization runs
+// against the polluted observation vector cascades create — the regime the
+// root-cause analyzer (cascade/root_cause.hpp) is judged in.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,9 @@ struct CascadeConfig {
   std::uint64_t cascade_seed = 0;
 
   /// Empty when usable, else the first field-named violation
-  /// (EngineConfig::validate() convention).
+  /// (EngineConfig::validate() convention). Like the base processes, the
+  /// tick may fire at most sim::kMaxFiringsPerProcess times over
+  /// sim.duration.
   std::string validate() const;
 };
 
@@ -87,8 +90,9 @@ struct CascadeRun {
 };
 
 /// Runs the base simulator with the cascade overlay. Construction throws
-/// InvalidInput when the config or the dependency graph fail validation or
-/// the graph's service_count disagrees with the instance.
+/// InvalidInput when the config or the dependency graph fail validation,
+/// the graph's service_count disagrees with the instance, or the placement
+/// does not assign every service one of its candidate hosts.
 class CascadeEngine {
  public:
   CascadeEngine(const ProblemInstance& instance, Placement placement,

@@ -13,10 +13,19 @@ namespace splace::sim {
 
 std::string SimConfig::validate() const {
   if (!(duration > 0)) return "SimConfig.duration must be positive";
+  if (!std::isfinite(duration)) return "SimConfig.duration must be finite";
   if (!(request_rate > 0)) return "SimConfig.request_rate must be positive";
   if (!(mtbf > 0)) return "SimConfig.mtbf must be positive";
   if (!(mttr > 0)) return "SimConfig.mttr must be positive";
   if (!(epoch > 0)) return "SimConfig.epoch must be positive";
+  if (duration / epoch > kMaxFiringsPerProcess)
+    return "SimConfig.epoch is too short: more than 1e7 epochs over duration";
+  if (duration * request_rate > kMaxFiringsPerProcess)
+    return "SimConfig.request_rate is too high: more than 1e7 requests per "
+           "client over duration";
+  if (duration / (mtbf + mttr) > kMaxFiringsPerProcess)
+    return "SimConfig.mtbf + SimConfig.mttr is too short: more than 1e7 "
+           "failures per node over duration";
   if (k < 1) return "SimConfig.k must be >= 1";
   if (observation_noise.false_positive < 0 ||
       observation_noise.false_positive >= 1) {
@@ -31,7 +40,8 @@ std::string SimConfig::validate() const {
 
 namespace {
 
-enum class EventKind { RequestArrival, NodeFail, NodeRepair, EpochEnd };
+enum class EventKind { RequestArrival, NodeFail, NodeRepair, EpochEnd,
+                       OverlayTick };
 
 struct Event {
   double time = 0;
@@ -50,31 +60,25 @@ double exponential(double mean, Rng& rng) {
   return -mean * std::log(1.0 - rng.uniform01());
 }
 
-/// Shared implementation; `trace` may be null.
-SimReport simulate_impl(const ProblemInstance& instance,
-                        const Placement& placement, const SimConfig& config,
-                        SimTrace* trace);
-
 }  // namespace
 
 SimReport simulate(const ProblemInstance& instance,
                    const Placement& placement, const SimConfig& config) {
-  return simulate_impl(instance, placement, config, nullptr);
+  return simulate_overlay(instance, placement, config, nullptr, nullptr);
 }
 
 TracedRun simulate_traced(const ProblemInstance& instance,
                           const Placement& placement,
                           const SimConfig& config) {
   TracedRun run;
-  run.report = simulate_impl(instance, placement, config, &run.trace);
+  run.report =
+      simulate_overlay(instance, placement, config, &run.trace, nullptr);
   return run;
 }
 
-namespace {
-
-SimReport simulate_impl(const ProblemInstance& instance,
-                        const Placement& placement, const SimConfig& config,
-                        SimTrace* trace) {
+SimReport simulate_overlay(const ProblemInstance& instance,
+                           const Placement& placement, const SimConfig& config,
+                           SimTrace* trace, Overlay* overlay) {
   if (const std::string error = config.validate(); !error.empty())
     throw InvalidInput(error);
   SPLACE_EXPECTS(placement.size() == instance.service_count());
@@ -106,6 +110,9 @@ SimReport simulate_impl(const ProblemInstance& instance,
     if (time <= config.duration)
       queue.push(Event{time, seq++, kind, subject});
   };
+  auto schedule_tick = [&](double time) {
+    if (time >= 0) schedule(time, EventKind::OverlayTick, 0);
+  };
 
   // Prime the processes.
   for (std::size_t stream = 0; stream < stream_path.size(); ++stream)
@@ -122,6 +129,11 @@ SimReport simulate_impl(const ProblemInstance& instance,
     bool detected = false;
   };
   std::vector<ActiveFailure> active(instance.node_count());
+  // What requests and each epoch's ground truth see: the base state plus
+  // whatever the overlay holds down.
+  auto is_down = [&](NodeId v) {
+    return !node_up[v] || (overlay != nullptr && overlay->down(v));
+  };
 
   // Per-epoch observation buffers.
   std::vector<bool> path_observed(paths.size(), false);
@@ -141,7 +153,7 @@ SimReport simulate_impl(const ProblemInstance& instance,
         ++report.requests_total;
         bool ok = true;
         for (NodeId v : paths[pi].nodes())
-          if (!node_up[v]) {
+          if (is_down(v)) {
             ok = false;
             break;
           }
@@ -167,6 +179,8 @@ SimReport simulate_impl(const ProblemInstance& instance,
           ++report.failures_injected;
           schedule(event.time + exponential(config.mttr, rng),
                    EventKind::NodeRepair, v);
+          if (overlay != nullptr)
+            schedule_tick(overlay->on_node_fail(v, event.time));
         }
         break;
       }
@@ -180,8 +194,9 @@ SimReport simulate_impl(const ProblemInstance& instance,
       }
 
       case EventKind::EpochEnd: {
-        // Detection: an active failure is detected once some *observed*
-        // failed path traverses it.
+        // Detection of base failures: detected once some *observed* failed
+        // path traverses the node (paths fail on effective state, so what
+        // an overlay holds down can only speed this up).
         for (NodeId v = 0; v < instance.node_count(); ++v) {
           if (node_up[v] || active[v].detected) continue;
           for (std::size_t pi = 0; pi < paths.size(); ++pi) {
@@ -195,26 +210,26 @@ SimReport simulate_impl(const ProblemInstance& instance,
           }
         }
 
-        // Localization over the observed sub-universe.
+        // Localization over the observed sub-universe, judged against the
+        // nodes effectively down at epoch end.
         bool any_failed = false;
         for (std::size_t pi = 0; pi < paths.size(); ++pi)
           if (path_observed[pi] && path_failed[pi]) any_failed = true;
-        std::size_t down_count = 0;
+        std::vector<NodeId> truth;
         for (NodeId v = 0; v < instance.node_count(); ++v)
-          if (!node_up[v]) ++down_count;
+          if (is_down(v)) truth.push_back(v);
 
         EpochRecord record;
         if (trace) {
           record.time = event.time;
-          for (NodeId v = 0; v < instance.node_count(); ++v)
-            if (!node_up[v]) record.down_nodes.push_back(v);
+          record.down_nodes = truth;
           for (std::size_t pi = 0; pi < paths.size(); ++pi) {
             if (path_observed[pi]) ++record.observed_paths;
             if (path_observed[pi] && path_failed[pi]) ++record.failed_paths;
           }
         }
 
-        if (any_failed && down_count <= config.k) {
+        if (any_failed && truth.size() <= config.k) {
           PathSet observed_paths(instance.node_count());
           std::vector<bool> states;
           for (std::size_t pi = 0; pi < paths.size(); ++pi) {
@@ -232,9 +247,6 @@ SimReport simulate_impl(const ProblemInstance& instance,
           if (loc.unique()) ++report.localizations_unique;
           ambiguity_sum += static_cast<double>(loc.ambiguity());
 
-          std::vector<NodeId> truth;
-          for (NodeId v = 0; v < instance.node_count(); ++v)
-            if (!node_up[v]) truth.push_back(v);
           const bool truth_found =
               std::find(loc.consistent_sets.begin(),
                         loc.consistent_sets.end(),
@@ -253,6 +265,10 @@ SimReport simulate_impl(const ProblemInstance& instance,
         schedule(event.time + config.epoch, EventKind::EpochEnd, 0);
         break;
       }
+
+      case EventKind::OverlayTick:
+        schedule_tick(overlay->on_tick(event.time, node_up));
+        break;
     }
   }
 
@@ -268,7 +284,5 @@ SimReport simulate_impl(const ProblemInstance& instance,
         ambiguity_sum / static_cast<double>(report.localizations_attempted);
   return report;
 }
-
-}  // namespace
 
 }  // namespace splace::sim

@@ -17,10 +17,15 @@
 //
 // Reported: request availability, failure detection rate and latency, and
 // localization ambiguity. bench_sim compares QoS vs GD placements on these.
+//
+// There is one event loop (simulate_overlay). simulate(), simulate_traced()
+// and cascade::CascadeEngine::run() all run it; the cascade adds its state
+// through the Overlay hook below.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "localization/probabilistic.hpp"
 #include "placement/service.hpp"
@@ -40,12 +45,23 @@ struct SimConfig {
   /// really congestion, etc.). Availability always uses the true outcome.
   NoiseModel observation_noise;
 
-  /// Basic sanity: all rates/durations positive, noise rates in [0, 1).
-  /// Empty when the config is usable; otherwise the first violation,
-  /// naming the offending field (EngineConfig::validate() convention).
-  /// simulate() throws InvalidInput with this message.
+  /// Basic sanity: all rates/durations positive, noise rates in [0, 1),
+  /// duration finite, and no periodic process firing more than
+  /// kMaxFiringsPerProcess times over the horizon. Empty when the config is
+  /// usable; otherwise the first violation, naming the offending field
+  /// (EngineConfig::validate() convention). simulate() throws InvalidInput
+  /// with this message.
   std::string validate() const;
 };
+
+/// Cap on how often one periodic process may fire over `duration`: the
+/// epoch process (duration / epoch), each client's request stream
+/// (duration * request_rate) and each node's fail/repair cycle
+/// (duration / (mtbf + mttr)); the cascade's tick process is held to the
+/// same cap. Past it a run may never finish: a period can fall below the
+/// clock's floating-point resolution, where `t + period == t` reschedules
+/// one event at the same time forever.
+inline constexpr double kMaxFiringsPerProcess = 1e7;
 
 struct SimReport {
   // Traffic.
@@ -72,5 +88,39 @@ struct SimReport {
 /// candidate host to every service.
 SimReport simulate(const ProblemInstance& instance, const Placement& placement,
                    const SimConfig& config);
+
+struct SimTrace;
+
+/// Extra state layered on the event loop, for failure processes the base
+/// model cannot express (cascade/engine.hpp is the one user).
+///
+///   * down(v): the overlay holds node v down on top of its base process.
+///     Requests and each epoch's ground truth (its down nodes, and the
+///     k-budget gate on localization) read this effective state; the base
+///     fail/repair process, and the failures detection looks for, do not.
+///   * on_node_fail(v, t): called when v's base process fails it at time t,
+///     right after its repair is scheduled.
+///   * on_tick(t, node_up): called on an overlay tick, with the base state
+///     (node_up[v] false while v's base process has it down).
+///
+/// Both on_* calls return the time of the next overlay tick, or a negative
+/// value for none. The loop schedules a returned tick like any other
+/// event, taking its sequence number from the same counter, so ties break
+/// deterministically. An overlay keeps its own RNG: the loop's RNG draws
+/// stay in base order, and an overlay that never holds a node down and
+/// never asks for a tick leaves the run bit-identical to simulate().
+class Overlay {
+ public:
+  virtual ~Overlay() = default;
+  virtual bool down(NodeId v) const = 0;
+  virtual double on_node_fail(NodeId v, double time) = 0;
+  virtual double on_tick(double time, const std::vector<bool>& node_up) = 0;
+};
+
+/// The event loop itself, with the per-epoch trace (when `trace` is
+/// non-null) and the overlay (when `overlay` is non-null).
+SimReport simulate_overlay(const ProblemInstance& instance,
+                           const Placement& placement, const SimConfig& config,
+                           SimTrace* trace, Overlay* overlay);
 
 }  // namespace splace::sim

@@ -34,8 +34,8 @@ struct SimTrace {
 };
 
 /// Runs the simulator capturing the per-epoch timeline alongside the usual
-/// aggregate report. Identical dynamics to sim::simulate for the same
-/// config/seed (verified by tests).
+/// aggregate report. Same event loop as sim::simulate, so the dynamics are
+/// identical for the same config/seed.
 struct TracedRun {
   SimReport report;
   SimTrace trace;

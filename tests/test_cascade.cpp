@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "cascade/root_cause.hpp"
@@ -134,6 +138,17 @@ TEST(CascadeEngineConfig, ValidatesFields) {
   config.tick = 1.0;
   config.sim.mtbf = 0.0;
   EXPECT_NE(config.validate().find("mtbf"), std::string::npos);
+
+  // A tick below the clock's resolution would reschedule itself at the
+  // same time forever; more than 1e7 ticks over the horizon is rejected.
+  config.sim = quick_sim_config();
+  config.tick = 1e-300;
+  EXPECT_NE(config.validate().find("tick"), std::string::npos);
+  config.tick = 1e-4;  // 3e6 ticks over the 300-unit horizon
+  EXPECT_EQ(config.validate(), "");
+  config.tick = 1.0;
+  config.sim.epoch = 1e-300;
+  EXPECT_NE(config.validate().find("epoch"), std::string::npos);
 }
 
 TEST(CascadeEngineConfig, ConstructionRejectsBadInputs) {
@@ -156,6 +171,27 @@ TEST(CascadeEngineConfig, ConstructionRejectsBadInputs) {
   cyclic.add_edge(0, 1, 0.5);
   cyclic.add_edge(1, 0, 0.5);
   EXPECT_THROW(CascadeEngine(inst, placement, cyclic, config), InvalidInput);
+
+  CascadeConfig stalling = config;
+  stalling.tick = 1e-300;
+  EXPECT_THROW(CascadeEngine(inst, placement, DependencyGraph(3), stalling),
+               InvalidInput);
+
+  // Malformed placements are named at construction, before run() touches
+  // a host: a wrong size, and a host outside its service's candidates.
+  auto placement_error = [&](const Placement& bad_placement) {
+    try {
+      CascadeEngine(inst, bad_placement, DependencyGraph(3), config);
+    } catch (const InvalidInput& e) {
+      return std::string(e.what());
+    }
+    return std::string("no InvalidInput");
+  };
+  EXPECT_NE(placement_error(Placement{placement[0]}).find("placement"),
+            std::string::npos);
+  Placement outside = placement;
+  outside[1] = 999;
+  EXPECT_NE(placement_error(outside).find("placement[1]"), std::string::npos);
 }
 
 /// The tentpole property: with zero dependency edges the cascade engine
@@ -251,6 +287,106 @@ TEST(CascadeEngineRun, CascadeInvariantsHold) {
     }
   }
   EXPECT_EQ(run.report.secondary_failures, propagations);
+}
+
+/// FNV-1a over 64-bit words; doubles enter by their bit pattern, so a
+/// recorded digest pins every time exactly.
+struct Fnv1a {
+  std::uint64_t state = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      state ^= (value >> (8 * byte)) & 0xFFu;
+      state *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(bool value) { add(std::uint64_t{value}); }
+};
+
+/// One full run with dependency edges, pinned to numbers recorded before
+/// the cascade moved onto the simulator's event loop: the base RNG draw
+/// order, the cascade RNG draw order and the event-sequence ties all feed
+/// the digest, so any reordering shows up here.
+TEST(CascadeEngineRun, MatchesRecordedRun) {
+  Rng rng(9);
+  const auto inst = testing::random_instance(14, 24, 5, 2, 1.0, rng);
+  const Placement placement = best_qos_placement(inst);
+  const DependencyGraph deps = random_dependencies(5, 0.6, 1.0, rng);
+
+  CascadeConfig config;
+  config.sim = quick_sim_config();
+  config.sim.mtbf = 60.0;
+  config.tick = 0.5;
+  const CascadeEngine engine(inst, placement, deps, config);
+
+  stream::EventBus bus;
+  auto subscription = bus.subscribe(
+      {stream::event_bit(stream::EventKind::CascadeStart) |
+           stream::event_bit(stream::EventKind::Propagation),
+       1 << 16, stream::DropPolicy::DropNew});
+  const CascadeRun run = engine.run(&bus, /*stream_id=*/5,
+                                    /*snapshot_hash=*/77);
+
+  EXPECT_EQ(run.report.cascades_started, 17u);
+  EXPECT_EQ(run.report.secondary_failures, 20u);
+  EXPECT_EQ(run.report.cascades_contained, 17u);
+  EXPECT_EQ(run.report.sim.requests_total, 5937u);
+  EXPECT_EQ(run.report.sim.requests_failed, 3620u);
+  EXPECT_EQ(run.report.sim.localizations_attempted, 10u);
+  EXPECT_EQ(run.report.sim.localizations_unique, 7u);
+  EXPECT_EQ(run.report.sim.localizations_containing_truth, 5u);
+  EXPECT_EQ(run.epochs.epochs.size(), 150u);
+
+  Fnv1a digest;
+  const sim::SimReport& base = run.report.sim;
+  for (std::size_t count :
+       {base.requests_total, base.requests_failed, base.failures_injected,
+        base.failures_detected, base.localizations_attempted,
+        base.localizations_unique, base.localizations_containing_truth})
+    digest.add(std::uint64_t{count});
+  for (double value : {base.availability, base.mean_detection_latency,
+                       base.mean_ambiguity, run.report.mean_blast_services,
+                       run.report.mean_containment_time})
+    digest.add(value);
+  for (const sim::EpochRecord& e : run.epochs.epochs) {
+    digest.add(e.time);
+    digest.add(std::uint64_t{e.down_nodes.size()});
+    for (NodeId v : e.down_nodes) digest.add(std::uint64_t{v});
+    digest.add(std::uint64_t{e.observed_paths});
+    digest.add(std::uint64_t{e.failed_paths});
+    digest.add(e.localization_ran);
+    digest.add(std::uint64_t{e.candidates});
+    digest.add(e.truth_among_candidates);
+  }
+  for (const CascadeRecord& c : run.cascades) {
+    digest.add(std::uint64_t{c.root_service});
+    digest.add(std::uint64_t{c.root_node});
+    digest.add(c.start_time);
+    digest.add(c.contained_time);
+    digest.add(c.contained);
+    for (const PropagationRecord& p : c.propagations) {
+      digest.add(p.time);
+      digest.add(std::uint64_t{p.tick});
+      digest.add(std::uint64_t{p.from_service});
+      digest.add(std::uint64_t{p.to_service});
+      digest.add(std::uint64_t{p.node});
+    }
+    for (std::size_t s : c.blast_services) digest.add(std::uint64_t{s});
+    for (NodeId v : c.blast_nodes) digest.add(std::uint64_t{v});
+  }
+  const auto events = subscription->poll();
+  EXPECT_EQ(events.size(), 37u);
+  for (const auto& event : events) {
+    digest.add(static_cast<std::uint64_t>(stream::event_kind(*event)));
+    const auto* start = std::get_if<stream::CascadeStartEvent>(event.get());
+    const stream::EventHeader& h =
+        start != nullptr ? start->header
+                         : std::get<stream::PropagationEvent>(*event).header;
+    for (std::uint64_t field :
+         {h.stream, h.snapshot, h.sequence, h.timestamp_us, h.latency_us})
+      digest.add(field);
+  }
+  EXPECT_EQ(digest.state, 0x0cbba519f7a527c6ULL) << std::hex << digest.state;
 }
 
 TEST(CascadeEngineRun, PublishesStartAndPropagationEvents) {

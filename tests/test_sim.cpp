@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/experiment.hpp"
 #include "placement/baselines.hpp"
 #include "placement/greedy.hpp"
+#include "sim/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -35,6 +38,37 @@ TEST(Simulator, ValidatesInputs) {
   Placement wrong_size{0};
   EXPECT_THROW(sim::simulate(inst, wrong_size, quick_config()),
                ContractViolation);
+
+  // Periods below the clock's resolution would reschedule one event at the
+  // same time forever; validate() caps every periodic process instead.
+  struct Stall {
+    const char* field;
+    void (*apply)(sim::SimConfig&);
+  };
+  const Stall stalls[] = {
+      {"epoch", [](sim::SimConfig& c) { c.epoch = 1e-300; }},
+      {"request_rate", [](sim::SimConfig& c) { c.request_rate = 1e300; }},
+      {"duration", [](sim::SimConfig& c) {
+         c.duration = std::numeric_limits<double>::infinity();
+       }},
+      {"mttr", [](sim::SimConfig& c) { c.mtbf = c.mttr = 1e-300; }},
+  };
+  for (const Stall& stall : stalls) {
+    sim::SimConfig config = quick_config();
+    stall.apply(config);
+    EXPECT_NE(config.validate().find(stall.field), std::string::npos)
+        << stall.field << ": " << config.validate();
+    EXPECT_THROW(sim::simulate(inst, placement, config), InvalidInput);
+    EXPECT_THROW(sim::simulate_traced(inst, placement, config), InvalidInput);
+  }
+  // The cap is on firings, not on the period alone: a long horizon with a
+  // short epoch stays usable while it is under 1e7 epochs.
+  sim::SimConfig dense = quick_config();
+  dense.duration = 1e6;
+  dense.epoch = 0.2;
+  EXPECT_EQ(dense.validate(), "");
+  dense.epoch = 0.05;
+  EXPECT_NE(dense.validate().find("epoch"), std::string::npos);
 }
 
 TEST(Simulator, NoFailuresPerfectAvailability) {
