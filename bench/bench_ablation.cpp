@@ -292,12 +292,12 @@ void ablation_topology_family(splace::bench::JsonWriter& json) {
       const ProblemInstance inst(std::move(copy),
                                  make_services(entry, clients, alpha));
       const MetricReport qos =
-          evaluate_placement_k1(inst, best_qos_placement(inst));
-      const MetricReport gd = evaluate_placement_k1(
+          evaluate_placement(inst, best_qos_placement(inst));
+      const MetricReport gd = evaluate_placement(
           inst,
           greedy_placement(inst, ObjectiveKind::Distinguishability)
               .placement);
-      const MetricReport gi = evaluate_placement_k1(
+      const MetricReport gi = evaluate_placement(
           inst,
           greedy_placement(inst, ObjectiveKind::Identifiability).placement);
       table.add_row(
@@ -341,7 +341,7 @@ void ablation_perturbation(splace::bench::JsonWriter& json) {
   const Placement stale =
       greedy_placement(base_inst, ObjectiveKind::Distinguishability)
           .placement;
-  const MetricReport before = evaluate_placement_k1(base_inst, stale);
+  const MetricReport before = evaluate_placement(base_inst, stale);
 
   Rng rng(404);
   double stale_sum = 0;
@@ -363,7 +363,7 @@ void ablation_perturbation(splace::bench::JsonWriter& json) {
     const ProblemInstance inst(std::move(p1),
                                make_services(entry, clients, 1.0));
     stale_sum += static_cast<double>(
-        evaluate_placement_k1(inst, stale).distinguishability);
+        evaluate_placement(inst, stale).distinguishability);
     reopt_sum +=
         greedy_placement(inst, ObjectiveKind::Distinguishability)
             .objective_value;

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       // Average the random baseline over 20 trials, like the paper.
       const std::size_t trials = 20;
       for (std::size_t t = 0; t < trials; ++t) {
-        const MetricReport m = evaluate_placement_k1(
+        const MetricReport m = evaluate_placement(
             instance, random_placement(instance, rng));
         point.coverage += static_cast<double>(m.coverage);
         point.identifiability += static_cast<double>(m.identifiability);
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     } else {
       const Placement p = compute_placement(instance, algo, rng);
       if (algo == Algorithm::GD) best_gd = p;
-      const MetricReport m = evaluate_placement_k1(instance, p);
+      const MetricReport m = evaluate_placement(instance, p);
       point = {static_cast<double>(m.coverage),
                static_cast<double>(m.identifiability),
                static_cast<double>(m.distinguishability)};

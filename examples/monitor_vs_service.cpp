@@ -25,7 +25,7 @@ int main() {
   const GreedyResult gd =
       greedy_placement(instance, ObjectiveKind::Distinguishability);
   const MetricReport service_metrics =
-      evaluate_placement_k1(instance, gd.placement);
+      evaluate_placement(instance, gd.placement);
 
   std::cout << "Tiscali stand-in, " << instance.service_count()
             << " services at alpha=0.6 (GD placement):\n"

@@ -46,7 +46,7 @@ int main() {
       greedy_placement(instance, ObjectiveKind::Distinguishability);
 
   auto describe = [&](const char* label, const Placement& p) {
-    const MetricReport m = evaluate_placement_k1(instance, p);
+    const MetricReport m = evaluate_placement(instance, p);
     std::cout << label << ": hosts={" << p[0] << "," << p[1] << "}"
               << "  coverage=" << m.coverage << "/9"
               << "  1-identifiable=" << m.identifiability

@@ -16,7 +16,8 @@ ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_dynamic test_dynamic_engine test_engine_trace test_api test_stream \
   test_metrics_text test_path_arena test_kernels test_stochastic \
   test_cascade test_shard test_algorithm_registry test_portfolio \
-  test_localization test_sim test_sim_trace"
+  test_localization test_sim test_sim_trace test_equivalence \
+  test_objective_gain test_metric_relations"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio \
@@ -50,14 +51,16 @@ ctest --test-dir build-tsan --output-on-failure \
 # The localizer suites ride along for the enumerator's flat signature and
 # record buffers, and the simulator suites for the one event loop and its
 # overlay hook (the cascade suite drives the hook; these drive the noise and
-# untraced paths only they reach).
+# untraced paths only they reach). The equivalence, gain and metric-relation
+# suites cover the flat partition, whose refinement is index arithmetic over
+# positions, class ids and class ranges.
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.
@@ -127,6 +130,12 @@ rm -f BENCH_portfolio_smoke.json
 # .bench_results/.
 python3 perfbench/run.py --workload localize_episodes --seed 1 --seconds 3 \
   --trace 0
+
+# The same smoke on place_cold: every distinct place, evaluate and portfolio
+# response, which the engine now scores on the path arena, must equal its
+# recomputation through the legacy direct call (evaluate_paths over
+# paths_for_placement).
+python3 perfbench/run.py --workload place_cold --seed 1 --seconds 3 --trace 0
 
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] && "$b"

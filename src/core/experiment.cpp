@@ -105,7 +105,7 @@ SweepResult run_sweep(const topology::CatalogEntry& entry,
       if (algo == Algorithm::RD) {
         Rng rng(config.rd_seed);
         for (std::size_t t = 0; t < config.rd_trials; ++t) {
-          const MetricReport report = evaluate_placement_k1(
+          const MetricReport report = evaluate_placement(
               instance, random_placement(instance, rng));
           point.coverage += static_cast<double>(report.coverage);
           point.identifiability +=
@@ -132,7 +132,7 @@ SweepResult run_sweep(const topology::CatalogEntry& entry,
       } else {
         Rng rng(config.rd_seed);
         const Placement placement = compute_placement(instance, algo, rng);
-        point = to_point(evaluate_placement_k1(instance, placement));
+        point = to_point(evaluate_placement(instance, placement));
       }
       result.series[algo].push_back(point);
     }

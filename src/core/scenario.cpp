@@ -252,9 +252,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
             .placement;
   }
 
-  result.metrics =
-      evaluate_paths(instance.paths_for_placement(result.placement),
-                     scenario.k);
+  result.metrics = evaluate_placement(instance, result.placement, scenario.k);
   return result;
 }
 

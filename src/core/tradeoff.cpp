@@ -52,7 +52,7 @@ std::vector<TradeoffPoint> qos_tradeoff(const topology::CatalogEntry& entry,
     TradeoffPoint point;
     point.alpha = alpha;
     point.cost = qos_cost(instance, placement);
-    point.metrics = evaluate_placement_k1(instance, placement);
+    point.metrics = evaluate_placement(instance, placement);
     frontier.push_back(point);
   }
   return frontier;

@@ -55,7 +55,7 @@ RepairResult repair_placement(const ProblemInstance& derived,
     placed[s] = true;
     ++placed_count;
     result.placement[s] = h;
-    state->add_paths(derived.paths_for(s, h));
+    state->add_paths(derived.arena_paths_for(s, h));
   };
 
   // Scores the unplaced candidates of touched services only.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "localization/localizer.hpp"
+#include "monitoring/failure_sets.hpp"
 #include "placement/algorithm.hpp"
 #include "placement/baselines.hpp"
 #include "placement/brute_force.hpp"
@@ -42,6 +43,43 @@ std::vector<NodeId> bitset_nodes(const DynamicBitset& bits) {
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+/// Marks `result` a bad request carrying `message` when that is non-empty;
+/// returns whether it did.
+bool rejects(EngineResult& result, std::string message) {
+  if (message.empty()) return false;
+  result.outcome = Outcome::RejectedBadRequest;
+  result.message = std::move(message);
+  return true;
+}
+
+/// Why failure bound `k` is unacceptable on `node_count` nodes, or empty.
+/// A request that enumerates F_k (place, evaluate, portfolio) is bounded by
+/// kMaxFailureSets at k >= 2.
+std::string k_error(std::size_t k, std::size_t node_count, bool enumerates) {
+  if (k < 1) return "k must be >= 1";
+  if (!enumerates || k == 1) return {};
+  const std::size_t sets = failure_set_count(node_count, k);
+  if (sets <= kMaxFailureSets) return {};
+  return "k = " + std::to_string(k) + " would enumerate " +
+         std::to_string(sets) + " failure sets on " +
+         std::to_string(node_count) + " nodes, over the limit of " +
+         std::to_string(kMaxFailureSets);
+}
+
+/// Why `placement` does not assign a candidate host to every service of
+/// `instance`, or empty.
+std::string placement_error(const ProblemInstance& instance,
+                            const Placement& placement) {
+  if (placement.size() != instance.service_count())
+    return "placement size does not match service count";
+  for (std::size_t s = 0; s < placement.size(); ++s)
+    if (!instance.is_candidate(s, placement[s]))
+      return "placement[" + std::to_string(s) + "] = " +
+             std::to_string(placement[s]) +
+             " is not a candidate host of service " + std::to_string(s);
+  return {};
 }
 
 EngineConfig validated(EngineConfig config) {
@@ -415,12 +453,10 @@ EngineResult Engine::execute(const PlaceRequest& request,
   result.type = RequestType::Place;
   const auto snapshot = resolve(request.snapshot, result, trace);
   if (!snapshot) return result;
-  if (request.k < 1) {
-    result.outcome = Outcome::RejectedBadRequest;
-    result.message = "k must be >= 1";
-    return result;
-  }
   const ProblemInstance& instance = snapshot->instance();
+  if (rejects(result,
+              k_error(request.k, instance.node_count(), /*enumerates=*/true)))
+    return result;
   try {
     PlacementOptions options;
     options.threads = std::max<std::size_t>(1, request.threads);
@@ -441,8 +477,8 @@ EngineResult Engine::execute(const PlaceRequest& request,
           make_algorithm(request.algorithm_name)->execute(instance, spec);
       result.place.placement = run.placement;
       result.place.objective_value = run.reported_value;
-      result.place.metrics = evaluate_paths(
-          instance.paths_for_placement(result.place.placement), request.k);
+      result.place.metrics =
+          evaluate_placement(instance, result.place.placement, request.k);
       return result;
     }
     switch (request.algorithm) {
@@ -482,8 +518,8 @@ EngineResult Engine::execute(const PlaceRequest& request,
         break;
       }
     }
-    result.place.metrics = evaluate_paths(
-        instance.paths_for_placement(result.place.placement), request.k);
+    result.place.metrics =
+        evaluate_placement(instance, result.place.placement, request.k);
   } catch (const std::exception& error) {
     result.outcome = Outcome::RejectedBadRequest;
     result.message = error.what();
@@ -498,19 +534,12 @@ EngineResult Engine::execute(const EvaluateRequest& request,
   const auto snapshot = resolve(request.snapshot, result, trace);
   if (!snapshot) return result;
   const ProblemInstance& instance = snapshot->instance();
-  if (request.k < 1) {
-    result.outcome = Outcome::RejectedBadRequest;
-    result.message = "k must be >= 1";
+  if (rejects(result,
+              k_error(request.k, instance.node_count(), /*enumerates=*/true)) ||
+      rejects(result, placement_error(instance, request.placement)))
     return result;
-  }
-  if (request.placement.size() != instance.service_count()) {
-    result.outcome = Outcome::RejectedBadRequest;
-    result.message = "placement size does not match service count";
-    return result;
-  }
   try {
-    result.metrics = evaluate_paths(
-        instance.paths_for_placement(request.placement), request.k);
+    result.metrics = evaluate_placement(instance, request.placement, request.k);
   } catch (const std::exception& error) {
     result.outcome = Outcome::RejectedBadRequest;
     result.message = error.what();
@@ -525,16 +554,10 @@ EngineResult Engine::execute(const LocalizeRequest& request,
   const auto snapshot = resolve(request.snapshot, result, trace);
   if (!snapshot) return result;
   const ProblemInstance& instance = snapshot->instance();
-  if (request.k < 1) {
-    result.outcome = Outcome::RejectedBadRequest;
-    result.message = "k must be >= 1";
+  if (rejects(result, k_error(request.k, instance.node_count(),
+                              /*enumerates=*/false)) ||
+      rejects(result, placement_error(instance, request.placement)))
     return result;
-  }
-  if (request.placement.size() != instance.service_count()) {
-    result.outcome = Outcome::RejectedBadRequest;
-    result.message = "placement size does not match service count";
-    return result;
-  }
   try {
     const PathSet paths = instance.paths_for_placement(request.placement);
     DynamicBitset failed(paths.size());
@@ -596,12 +619,10 @@ EngineResult Engine::execute(const PortfolioRequest& request,
   result.type = RequestType::Portfolio;
   const auto snapshot = resolve(request.snapshot, result, trace);
   if (!snapshot) return result;
-  if (request.k < 1) {
-    result.outcome = Outcome::RejectedBadRequest;
-    result.message = "k must be >= 1";
-    return result;
-  }
   const ProblemInstance& instance = snapshot->instance();
+  if (rejects(result,
+              k_error(request.k, instance.node_count(), /*enumerates=*/true)))
+    return result;
   try {
     portfolio::PortfolioSpec spec;
     spec.algorithms = request.algorithms;
@@ -634,8 +655,8 @@ EngineResult Engine::execute(const PortfolioRequest& request,
     result.portfolio.objective_value = best.objective_value;
     result.portfolio.max_identifiable_failures =
         result.portfolio.entries[report.winner].max_identifiable_failures;
-    result.portfolio.metrics = evaluate_paths(
-        instance.paths_for_placement(best.placement), request.k);
+    result.portfolio.metrics =
+        evaluate_placement(instance, best.placement, request.k);
     stream::PortfolioEvent event;
     event.header.snapshot = request.snapshot;
     event.winner = result.portfolio.winner;

@@ -26,6 +26,12 @@ enum class RequestType { Place, Evaluate, Localize, Mutate, Portfolio };
 /// Number of RequestType values (for per-type counter arrays).
 inline constexpr std::size_t kRequestTypeCount = 5;
 
+/// Largest |F_k| (failure sets of at most k nodes) a place, evaluate or
+/// portfolio request at k >= 2 may enumerate; past it the request is
+/// RejectedBadRequest naming k, before any compute. Localize requests count
+/// through signature classes instead and are exempt.
+inline constexpr std::size_t kMaxFailureSets = 5'000'000;
+
 /// Why a request produced no result. Ok is the only success outcome.
 enum class Outcome {
   Ok,

@@ -54,6 +54,15 @@ class CompositeState final : public ObjectiveState {
       distinguishability_->add_path(path);
   }
 
+  using ObjectiveState::add_paths;
+
+  void add_paths(ArenaPathsRef paths) override {
+    if (weights_.coverage > 0) coverage_->add_paths(paths);
+    if (weights_.identifiability > 0) identifiability_->add_paths(paths);
+    if (weights_.distinguishability > 0)
+      distinguishability_->add_paths(paths);
+  }
+
   double value() const override {
     double total = 0;
     if (weights_.coverage > 0)

@@ -1,10 +1,17 @@
 #include "monitoring/equivalence_classes.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/error.hpp"
 
 namespace splace {
+
+namespace {
+
+std::size_t pairs_of(std::size_t n) { return n * (n - 1) / 2; }
+
+}  // namespace
 
 EquivalenceClasses::SplitScratch::SplitScratch(std::size_t node_count) {
   sig.resize(node_count);
@@ -18,49 +25,88 @@ EquivalenceClasses::SplitScratch::SplitScratch(std::size_t node_count) {
 }
 
 EquivalenceClasses::EquivalenceClasses(std::size_t node_count)
-    : node_count_(node_count), class_index_(node_count + 1, 0) {
-  std::vector<NodeId> all(node_count + 1);
-  for (std::size_t x = 0; x <= node_count; ++x)
-    all[x] = static_cast<NodeId>(x);
-  classes_.push_back(std::move(all));
+    : node_count_(node_count),
+      members_(node_count + 1),
+      pos_(node_count + 1),
+      class_index_(node_count + 1, 0),
+      class_begin_{0},
+      class_size_{static_cast<std::uint32_t>(node_count + 1)},
+      same_class_pairs_(pairs_of(node_count + 1)),
+      marked_(node_count + 1, 0) {
+  for (std::size_t x = 0; x <= node_count; ++x) {
+    members_[x] = static_cast<NodeId>(x);
+    pos_[x] = static_cast<std::uint32_t>(x);
+  }
 }
 
 void EquivalenceClasses::check_vertex(NodeId x) const {
   SPLACE_EXPECTS(x <= node_count_);
 }
 
+void EquivalenceClasses::mark(NodeId v) {
+  const std::uint32_t c = class_index_[v];
+  if (marked_[c] == 0) touched_.push_back(c);
+  const std::uint32_t slot = class_begin_[c] + marked_[c]++;
+  const NodeId displaced = members_[slot];
+  members_[pos_[v]] = displaced;
+  pos_[displaced] = pos_[v];
+  members_[slot] = v;
+  pos_[v] = slot;
+}
+
+void EquivalenceClasses::split_marked() {
+  for (const std::uint32_t c : touched_) {
+    const std::uint32_t marked = marked_[c];
+    marked_[c] = 0;
+    const std::uint32_t size = class_size_[c];
+    if (marked == size) continue;  // the whole class is on the path
+    // The marked prefix becomes a new class and c keeps the rest, so only
+    // path nodes are relabelled. <= node_count_ + 1 classes ever, so the
+    // index always fits 32 bits.
+    const auto fresh = static_cast<std::uint32_t>(class_size_.size());
+    const std::uint32_t begin = class_begin_[c];
+    class_begin_.push_back(begin);
+    class_size_.push_back(marked);
+    class_begin_[c] = begin + marked;
+    class_size_[c] = size - marked;
+    for (std::uint32_t i = begin; i < begin + marked; ++i)
+      class_index_[members_[i]] = fresh;
+    same_class_pairs_ -=
+        pairs_of(size) - pairs_of(marked) - pairs_of(size - marked);
+    // A class of two or more had no identifiable member; each part that
+    // is now a lone real node is newly identifiable (v0 is never marked).
+    if (marked == 1) ++identifiable_;
+    if (size - marked == 1 && members_[begin + marked] != virtual_node())
+      ++identifiable_;
+  }
+  touched_.clear();
+}
+
 void EquivalenceClasses::add_path(const MeasurementPath& path) {
   SPLACE_EXPECTS(path.node_universe() == node_count_);
-  // Only classes containing at least one path node can split; find them via
-  // the path's (short) node list instead of scanning all classes.
-  std::vector<std::size_t> touched;
-  for (NodeId v : path.nodes()) {
-    const std::size_t ci = class_index_[v];
-    if (std::find(touched.begin(), touched.end(), ci) == touched.end())
-      touched.push_back(ci);
-  }
-  for (std::size_t ci : touched) {
-    std::vector<NodeId>& cls = classes_[ci];
-    std::vector<NodeId> inside;
-    std::vector<NodeId> outside;
-    for (NodeId x : cls) {
-      // v0 (x == node_count_) is never on a path.
-      if (x < node_count_ && path.traverses(x))
-        inside.push_back(x);
-      else
-        outside.push_back(x);
-    }
-    if (inside.empty() || outside.empty()) continue;  // no split
-    cls = std::move(inside);
-    // <= node_count_ + 1 classes ever, so the index always fits 32 bits.
-    const auto new_index = static_cast<std::uint32_t>(classes_.size());
-    for (NodeId x : outside) class_index_[x] = new_index;
-    classes_.push_back(std::move(outside));
-  }
+  for (NodeId v : path.nodes()) mark(v);  // ascending, so each node once
+  split_marked();
 }
 
 void EquivalenceClasses::add_paths(const PathSet& paths) {
   for (const MeasurementPath& p : paths.paths()) add_path(p);
+}
+
+void EquivalenceClasses::add_paths(ArenaPathsRef paths) {
+  SPLACE_EXPECTS(paths.arena != nullptr);
+  const PathArena& arena = *paths.arena;
+  SPLACE_EXPECTS(arena.node_count() == node_count_);
+  const std::uint32_t* rows = arena.set_rows(paths.set);
+  const std::size_t n_rows = arena.set_size(paths.set);
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const std::uint32_t* words = arena.row_words(rows[r]);
+    const std::uint64_t* masks = arena.row_masks(rows[r]);
+    const std::size_t n_words = arena.row_word_count(rows[r]);
+    for (std::size_t i = 0; i < n_words; ++i)
+      for (std::uint64_t m = masks[i]; m != 0; m &= m - 1)
+        mark(words[i] * 64 + static_cast<NodeId>(std::countr_zero(m)));
+    split_marked();
+  }
 }
 
 SplitDelta EquivalenceClasses::split_delta(const PathSet& extra,
@@ -160,7 +206,7 @@ SplitDelta EquivalenceClasses::split_delta(ArenaPathsRef extra,
   const std::size_t v0_class = class_index_[virtual_node()];
   SplitDelta delta;
   for (std::size_t ci : scratch.touched_classes) {
-    const std::size_t class_size = classes_[ci].size();
+    const std::size_t class_size = class_size_[ci];
     std::size_t touched_in_class = 0;
     std::size_t same_sig_pairs = 0;
     std::size_t singleton_runs = 0;
@@ -187,7 +233,7 @@ SplitDelta EquivalenceClasses::count_groups(const SplitScratch& scratch) const {
   SplitDelta delta;
   for (std::size_t i = 0; i < scratch.groups.size();) {
     const std::size_t ci = scratch.groups[i].first;
-    const std::size_t class_size = classes_[ci].size();
+    const std::size_t class_size = class_size_[ci];
     // Runs of equal (class, signature) are the touched post-split groups.
     std::size_t touched_in_class = 0;
     std::size_t same_sig_pairs = 0;
@@ -221,13 +267,18 @@ SplitDelta EquivalenceClasses::count_groups(const SplitScratch& scratch) const {
   return delta;
 }
 
-const std::vector<NodeId>& EquivalenceClasses::class_of(NodeId x) const {
+std::vector<NodeId> EquivalenceClasses::class_of(NodeId x) const {
   check_vertex(x);
-  return classes_[class_index_[x]];
+  const std::uint32_t c = class_index_[x];
+  const auto first = members_.begin() + class_begin_[c];
+  std::vector<NodeId> members(first, first + class_size_[c]);
+  std::sort(members.begin(), members.end());
+  return members;
 }
 
 std::size_t EquivalenceClasses::class_size(NodeId x) const {
-  return class_of(x).size();
+  check_vertex(x);
+  return class_size_[class_index_[x]];
 }
 
 bool EquivalenceClasses::indistinguishable(NodeId v, NodeId w) const {
@@ -236,18 +287,8 @@ bool EquivalenceClasses::indistinguishable(NodeId v, NodeId w) const {
   return class_index_[v] == class_index_[w];
 }
 
-std::size_t EquivalenceClasses::identifiable_count() const {
-  std::size_t count = 0;
-  for (const auto& cls : classes_)
-    if (cls.size() == 1 && cls.front() != virtual_node()) ++count;
-  return count;
-}
-
 std::size_t EquivalenceClasses::distinguishable_pairs() const {
-  const std::size_t m = node_count_ + 1;
-  std::size_t total = m * (m - 1) / 2;
-  for (const auto& cls : classes_) total -= cls.size() * (cls.size() - 1) / 2;
-  return total;
+  return pairs_of(node_count_ + 1) - same_class_pairs_;
 }
 
 std::size_t EquivalenceClasses::degree_of_uncertainty(NodeId x) const {
@@ -256,7 +297,7 @@ std::size_t EquivalenceClasses::degree_of_uncertainty(NodeId x) const {
 
 Histogram EquivalenceClasses::uncertainty_distribution() const {
   Histogram hist;
-  for (const auto& cls : classes_) hist.add(cls.size() - 1, cls.size());
+  for (const std::uint32_t size : class_size_) hist.add(size - 1, size);
   return hist;
 }
 

@@ -5,12 +5,18 @@
 // which is an equivalence relation: Q (plus the virtual no-failure node v0)
 // is a disjoint union of cliques, i.e., a partition of N ∪ {v0} by
 // path-incidence signature. Adding a measurement path p refines the partition
-// by splitting every class into (class ∩ p, class ∖ p) — O(|N|) per path,
-// much cheaper than maintaining the O(|N|^2) adjacency of Algorithm 1 and
-// exactly the incremental reuse the paper suggests for the greedy
-// distinguishability heuristic (Section V-D.1).
+// by splitting every class into (class ∩ p, class ∖ p) — much cheaper than
+// maintaining the O(|N|^2) adjacency of Algorithm 1 and exactly the
+// incremental reuse the paper suggests for the greedy distinguishability
+// heuristic (Section V-D.1).
 //
-// All k = 1 quantities fall out of the class sizes:
+// The partition is flat: every vertex sits in one array, grouped by class,
+// with per-vertex positions and class ids and per-class (begin, size). A
+// path swaps each of its nodes to the front of its class and splits off the
+// marked prefix, so refining costs O(|p|) — untouched class members are
+// never visited.
+//
+// All k = 1 quantities fall out of the class sizes, kept as running counters:
 //   |S_1(P)|  = # singleton classes not containing v0;
 //   |D_1(P)|  = C(|N|+1, 2) − Σ_class C(|class|, 2);
 //   degree of uncertainty of x (Fig. 8) = |class(x)| − 1.
@@ -74,11 +80,16 @@ class EquivalenceClasses {
   /// The virtual no-failure vertex id (== node_count()).
   NodeId virtual_node() const { return static_cast<NodeId>(node_count_); }
 
-  /// Refines the partition with one measurement path.
+  /// Refines the partition with one measurement path: O(|p|).
   void add_path(const MeasurementPath& path);
 
   /// Refines with every path of a set.
   void add_paths(const PathSet& paths);
+
+  /// Refines with every row of an arena-resident set, straight from its
+  /// sparse word rows — the same partition as add_paths(paths.materialize()),
+  /// for sets of any size.
+  void add_paths(ArenaPathsRef paths);
 
   /// Computes how adding `extra` would change |S_1| and |D_1| WITHOUT
   /// mutating (or copying) the partition: every node on an extra path gets a
@@ -95,10 +106,12 @@ class EquivalenceClasses {
   /// split_delta(extra.materialize(), scratch).
   SplitDelta split_delta(ArenaPathsRef extra, SplitScratch& scratch) const;
 
-  std::size_t class_count() const { return classes_.size(); }
+  std::size_t class_count() const { return class_size_.size(); }
 
-  /// Members of the class containing vertex x (x may be virtual_node()).
-  const std::vector<NodeId>& class_of(NodeId x) const;
+  /// Members of the class containing vertex x (x may be virtual_node()),
+  /// ascending — a copy, since the flat layout keeps no order within a
+  /// class.
+  std::vector<NodeId> class_of(NodeId x) const;
 
   /// |class(x)|.
   std::size_t class_size(NodeId x) const;
@@ -108,7 +121,7 @@ class EquivalenceClasses {
   bool indistinguishable(NodeId v, NodeId w) const;
 
   /// |S_1(P)|: # real nodes whose single-failure state is identifiable.
-  std::size_t identifiable_count() const;
+  std::size_t identifiable_count() const { return identifiable_; }
 
   /// |D_1(P)|: # distinguishable unordered pairs among N ∪ {v0}.
   std::size_t distinguishable_pairs() const;
@@ -122,10 +135,30 @@ class EquivalenceClasses {
 
  private:
   std::size_t node_count_;
-  std::vector<std::vector<NodeId>> classes_;
-  std::vector<std::uint32_t> class_index_;  ///< vertex -> class position
+  /// Every vertex of N ∪ {v0}, grouped by class: class c occupies
+  /// members_[class_begin_[c], class_begin_[c] + class_size_[c]).
+  std::vector<NodeId> members_;
+  std::vector<std::uint32_t> pos_;          ///< vertex -> index in members_
+  std::vector<std::uint32_t> class_index_;  ///< vertex -> class
+  std::vector<std::uint32_t> class_begin_;
+  std::vector<std::uint32_t> class_size_;
+  std::size_t identifiable_ = 0;       ///< |S_1|
+  std::size_t same_class_pairs_ = 0;   ///< Σ_class C(|class|, 2)
+
+  /// Refinement scratch, empty between paths: per class, how many members
+  /// the current path marked (all at the front of the class), and the
+  /// classes with a nonzero count.
+  std::vector<std::uint32_t> marked_;
+  std::vector<std::uint32_t> touched_;
 
   void check_vertex(NodeId x) const;
+
+  /// Swaps node v into the marked prefix of its class.
+  void mark(NodeId v);
+
+  /// Splits every touched class into its marked prefix (a new class) and
+  /// the unmarked rest, updating the counters; clears the scratch.
+  void split_marked();
 
   /// Shared tail of both split_delta overloads: counts the post-split groups
   /// from the sorted (class index, signature) pairs in scratch.groups.

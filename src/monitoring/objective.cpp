@@ -34,6 +34,16 @@ class CoverageState final : public ObjectiveState {
     covered_ |= path.node_set();
   }
 
+  using ObjectiveState::add_paths;
+
+  void add_paths(ArenaPathsRef paths) override {
+    SPLACE_EXPECTS(paths.arena->node_count() == covered_.size());
+    const PathArena& arena = *paths.arena;
+    covered_.or_sparse(arena.set_union_words(paths.set),
+                       arena.set_union_masks(paths.set),
+                       arena.set_union_word_count(paths.set));
+  }
+
   double value() const override {
     return static_cast<double>(covered_.count());
   }
@@ -76,6 +86,10 @@ class EquivalenceState final : public ObjectiveState {
   void add_path(const MeasurementPath& path) override {
     classes_.add_path(path);
   }
+
+  using ObjectiveState::add_paths;
+
+  void add_paths(ArenaPathsRef paths) override { classes_.add_paths(paths); }
 
   double value() const override {
     return kind_ == ObjectiveKind::Identifiability

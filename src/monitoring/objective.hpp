@@ -15,6 +15,11 @@
 // For k = 1 the identifiability/distinguishability states run on
 // EquivalenceClasses (incremental); for k > 1 they re-derive from a stored
 // PathSet via exact enumeration (use on small instances only).
+//
+// Placement loops commit their picks through add_paths(ArenaPathsRef):
+// coverage ORs the set's precomputed union row, k = 1 refines the flat
+// partition by the set's sparse rows, and states without an arena-native
+// commit fall back to the materialized PathSet.
 #pragma once
 
 #include <memory>
@@ -46,6 +51,13 @@ class ObjectiveState {
 
   void add_paths(const PathSet& paths) {
     for (const MeasurementPath& p : paths.paths()) add_path(p);
+  }
+
+  /// Extends the path set by an arena-resident set. Must leave the state
+  /// equal to add_paths(paths.materialize()); states with an arena-native
+  /// commit override it, everything else falls back through the bridge.
+  virtual void add_paths(ArenaPathsRef paths) {
+    add_paths(paths.materialize());
   }
 
   /// Marginal gain f(P ∪ extra) − f(P) without mutating this state.

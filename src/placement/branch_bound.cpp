@@ -52,7 +52,8 @@ class Searcher {
     std::vector<double> values(hosts.size());
     double best_gain_here = 0;
     for (std::size_t i = 0; i < hosts.size(); ++i) {
-      const double gain = state->gain(instance_.paths_for(service, hosts[i]));
+      const double gain =
+          state->gain(instance_.arena_paths_for(service, hosts[i]));
       values[i] = current_value + gain;
       best_gain_here = std::max(best_gain_here, gain);
     }
@@ -60,7 +61,7 @@ class Searcher {
     for (std::size_t s = service + 1; s < instance_.service_count(); ++s) {
       double best = 0;
       for (NodeId h : instance_.candidate_hosts(s))
-        best = std::max(best, state->gain(instance_.paths_for(s, h)));
+        best = std::max(best, state->gain(instance_.arena_paths_for(s, h)));
       tail_bound += best;
     }
 
@@ -87,7 +88,7 @@ class Searcher {
         continue;  // later hosts are weaker still, but count each cut
       }
       std::unique_ptr<ObjectiveState> child = state->clone();
-      child->add_paths(instance_.paths_for(service, hosts[i]));
+      child->add_paths(instance_.arena_paths_for(service, hosts[i]));
       current_[service] = hosts[i];
       descend(service + 1, std::move(child));
       current_[service] = kInvalidNode;

@@ -59,7 +59,7 @@ CapacityGreedyResult greedy_capacity_placement(
     placed[best_service] = true;
     result.placement[best_service] = best_host;
     remaining[best_host] -= instance.services()[best_service].demand;
-    state->add_paths(instance.paths_for(best_service, best_host));
+    state->add_paths(instance.arena_paths_for(best_service, best_host));
   }
 
   result.complete = std::all_of(placed.begin(), placed.end(),

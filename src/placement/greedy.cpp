@@ -103,7 +103,7 @@ GreedyResult greedy_placement(const ProblemInstance& instance,
     result.placement[winner.service] = winner.host;
     result.order.push_back(winner.service);
     result.gains.push_back(best.gain);
-    state->add_paths(instance.paths_for(winner.service, winner.host));
+    state->add_paths(instance.arena_paths_for(winner.service, winner.host));
 
     if (profiling) {
       GreedyRoundProfile profile;

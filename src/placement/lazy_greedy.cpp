@@ -112,7 +112,7 @@ LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
         placed[top.service] = true;
         result.placement[top.service] = top.host;
         result.order.push_back(top.service);
-        state->add_paths(instance.paths_for(top.service, top.host));
+        state->add_paths(instance.arena_paths_for(top.service, top.host));
         fresh_gain.clear();
         if (profiling) {
           GreedyRoundProfile profile;

@@ -102,7 +102,7 @@ StochasticGreedyResult stochastic_greedy_placement(
     result.placement[winner.service] = winner.host;
     result.order.push_back(winner.service);
     result.gains.push_back(best_gain);
-    state->add_paths(instance.paths_for(winner.service, winner.host));
+    state->add_paths(instance.arena_paths_for(winner.service, winner.host));
   }
 
   result.objective_value = state->value();

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/metrics_report.hpp"
 #include "util/error.hpp"
 
 namespace splace::portfolio {
@@ -32,10 +33,8 @@ PortfolioEntry run_entry(const ProblemInstance& instance,
     entry.evaluations = result.evaluations;
     // The ranking key: every entry re-scored under the one common
     // objective, whatever quantity the algorithm itself optimized.
-    entry.objective_value =
-        evaluate_objective(spec.objective,
-                           instance.paths_for_placement(entry.placement),
-                           spec.k);
+    entry.objective_value = objective_value(
+        evaluate_placement(instance, entry.placement, spec.k), spec.objective);
     if (spec.certificate_k > 0)
       entry.certificate = mis_certificate(
           instance, entry.placement, spec.certificate_k,

@@ -51,6 +51,14 @@ DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
   return *this;
 }
 
+void DynamicBitset::or_sparse(const std::uint32_t* words,
+                              const std::uint64_t* masks, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    SPLACE_EXPECTS(words[i] < words_.size());
+    words_[words[i]] |= masks[i];
+  }
+}
+
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
   check_same_universe(other);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];

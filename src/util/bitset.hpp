@@ -43,6 +43,10 @@ class DynamicBitset {
   DynamicBitset& operator^=(const DynamicBitset& other);
   /// Removes from this set every bit present in `other`.
   DynamicBitset& subtract(const DynamicBitset& other);
+  /// ORs in a sparse row: masks[i] into word words[i], for i < n. Every
+  /// word index must be < word_count() and every mask within size().
+  void or_sparse(const std::uint32_t* words, const std::uint64_t* masks,
+                 std::size_t n);
 
   friend DynamicBitset operator|(DynamicBitset a, const DynamicBitset& b) {
     a |= b;

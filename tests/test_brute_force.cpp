@@ -58,15 +58,15 @@ TEST(BruteForce, WitnessPlacementsAchieveReportedValues) {
   ASSERT_TRUE(result.has_value());
 
   const MetricReport mc =
-      evaluate_placement_k1(inst, result->coverage.placement);
+      evaluate_placement(inst, result->coverage.placement);
   EXPECT_EQ(mc.coverage, result->coverage.value);
 
   const MetricReport mi =
-      evaluate_placement_k1(inst, result->identifiability.placement);
+      evaluate_placement(inst, result->identifiability.placement);
   EXPECT_EQ(mi.identifiability, result->identifiability.value);
 
   const MetricReport md =
-      evaluate_placement_k1(inst, result->distinguishability.placement);
+      evaluate_placement(inst, result->distinguishability.placement);
   EXPECT_EQ(md.distinguishability, result->distinguishability.value);
 }
 
@@ -82,7 +82,7 @@ TEST(BruteForce, OptimaDominateArbitraryPlacements) {
       const auto& hosts = inst.candidate_hosts(s);
       p[s] = hosts[sample_rng.index(hosts.size())];
     }
-    const MetricReport m = evaluate_placement_k1(inst, p);
+    const MetricReport m = evaluate_placement(inst, p);
     EXPECT_LE(m.coverage, result->coverage.value);
     EXPECT_LE(m.identifiability, result->identifiability.value);
     EXPECT_LE(m.distinguishability, result->distinguishability.value);
@@ -120,7 +120,7 @@ TEST(ParallelBruteForceMisc, WitnessesAchieveValuesAndAreDeterministic) {
   EXPECT_EQ(a->coverage.placement, b->coverage.placement);
   EXPECT_EQ(a->distinguishability.placement, b->distinguishability.placement);
   const MetricReport m =
-      evaluate_placement_k1(inst, a->distinguishability.placement);
+      evaluate_placement(inst, a->distinguishability.placement);
   EXPECT_EQ(m.distinguishability, a->distinguishability.value);
 }
 

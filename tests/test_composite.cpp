@@ -103,9 +103,9 @@ TEST(Composite, BlendInterpolatesBetweenSpecialists) {
   const GreedyResult cov_heavy = greedy_placement(
       inst,
       make_composite_objective_state(inst.node_count(), 1, {0.9, 0, 0.1}));
-  const MetricReport m_blend = evaluate_placement_k1(inst, cov_heavy.placement);
+  const MetricReport m_blend = evaluate_placement(inst, cov_heavy.placement);
   const MetricReport m_qos =
-      evaluate_placement_k1(inst, best_qos_placement(inst));
+      evaluate_placement(inst, best_qos_placement(inst));
   EXPECT_GE(m_blend.coverage, m_qos.coverage);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <string>
@@ -14,8 +15,10 @@
 
 #include "core/experiment.hpp"
 #include "engine/replay.hpp"
+#include "graph/generators.hpp"
 #include "localization/localizer.hpp"
 #include "localization/observation.hpp"
+#include "monitoring/failure_sets.hpp"
 #include "placement/baselines.hpp"
 #include "placement/greedy.hpp"
 #include "topology/catalog.hpp"
@@ -229,6 +232,99 @@ TEST(Engine, BadRequestsAreRejectedNotThrown) {
   const EngineMetricsSnapshot metrics = engine.metrics();
   EXPECT_EQ(metrics.rejected_bad_request, 4u);
   EXPECT_EQ(metrics.completed, 0u);
+}
+
+TEST(Engine, HostsOutsideTheCandidateSetAreRejectedByField) {
+  Fixture fx;
+  Engine engine(fx.registry, EngineConfig{1, 256, 0});
+  const std::vector<NodeId>& hosts = fx.instance().candidate_hosts(0);
+  NodeId outside = 0;
+  while (std::binary_search(hosts.begin(), hosts.end(), outside)) ++outside;
+  ASSERT_LT(outside, fx.instance().node_count());
+
+  for (const NodeId host : {outside, NodeId{100000}}) {
+    Placement placement = best_qos_placement(fx.instance());
+    placement[0] = host;
+    const std::string expected = "placement[0] = " + std::to_string(host) +
+                                 " is not a candidate host of service 0";
+
+    EvaluateRequest evaluate;
+    evaluate.snapshot = fx.snapshot->hash();
+    evaluate.placement = placement;
+    EngineResult result = engine.submit(evaluate).get();
+    EXPECT_EQ(result.outcome, Outcome::RejectedBadRequest);
+    EXPECT_EQ(result.message, expected);
+
+    LocalizeRequest localize;
+    localize.snapshot = fx.snapshot->hash();
+    localize.placement = placement;
+    localize.failed_paths = {0};
+    result = engine.submit(localize).get();
+    EXPECT_EQ(result.outcome, Outcome::RejectedBadRequest);
+    EXPECT_EQ(result.message, expected);
+  }
+  EXPECT_EQ(engine.metrics().rejected_bad_request, 4u);
+}
+
+TEST(Engine, GeneralKRequestsAreBoundedByFailureSetCount) {
+  // The limit admits every general-k request the benchmarks send (BA-300
+  // at k = 3, BA-1000 at k = 2) and rejects BA-1000 at k = 3.
+  EXPECT_LE(failure_set_count(300, 3), kMaxFailureSets);
+  EXPECT_LE(failure_set_count(1000, 2), kMaxFailureSets);
+  EXPECT_GT(failure_set_count(1000, 3), kMaxFailureSets);
+
+  // A 313-node star with one service on the hub, every leaf a client:
+  // |F_2| = 49,142 is inside the limit and |F_3| = 5,110,978 is past it.
+  auto registry = std::make_shared<SnapshotRegistry>();
+  Service svc;
+  for (NodeId leaf = 1; leaf < 313; ++leaf) svc.clients.push_back(leaf);
+  svc.alpha = 0.0;
+  const auto snapshot = registry->add("star", star_graph(313), {svc});
+  const ProblemInstance& instance = snapshot->instance();
+  ASSERT_LE(failure_set_count(313, 2), kMaxFailureSets);
+  ASSERT_GT(failure_set_count(313, 3), kMaxFailureSets);
+  const Placement hub = best_qos_placement(instance);
+  Engine engine(registry, EngineConfig{1, 256, 0});
+
+  PlaceRequest place;
+  place.snapshot = snapshot->hash();
+  place.k = 3;
+  EvaluateRequest evaluate;
+  evaluate.snapshot = snapshot->hash();
+  evaluate.placement = hub;
+  evaluate.k = 3;
+  PortfolioRequest portfolio;
+  portfolio.snapshot = snapshot->hash();
+  portfolio.algorithms = {"qos"};
+  portfolio.k = 3;
+  for (EngineResult result :
+       {engine.submit(place).get(), engine.submit(evaluate).get(),
+        engine.submit(portfolio).get()}) {
+    EXPECT_EQ(result.outcome, Outcome::RejectedBadRequest);
+    EXPECT_EQ(result.message.rfind("k = 3 would enumerate ", 0), 0u)
+        << result.message;
+  }
+
+  evaluate.k = 2;
+  const EngineResult inside = engine.submit(evaluate).get();
+  ASSERT_TRUE(inside.ok()) << inside.message;
+  const MetricReport direct =
+      evaluate_paths(instance.paths_for_placement(hub), 2);
+  EXPECT_EQ(inside.metrics.coverage, direct.coverage);
+  EXPECT_EQ(inside.metrics.identifiability, direct.identifiability);
+  EXPECT_EQ(inside.metrics.distinguishability, direct.distinguishability);
+
+  // Localize counts through signature classes, so k = 3 stays open: a
+  // failed leaf is on its own path alone.
+  LocalizeRequest localize;
+  localize.snapshot = snapshot->hash();
+  localize.placement = hub;
+  localize.failed_paths = {0};
+  localize.k = 3;
+  const EngineResult localized = engine.submit(localize).get();
+  ASSERT_TRUE(localized.ok()) << localized.message;
+  EXPECT_EQ(localized.localization.consistent_sets,
+            (std::vector<std::vector<NodeId>>{{1}}));
 }
 
 TEST(Engine, QueueFullRejectsInsteadOfBlocking) {

@@ -2,6 +2,7 @@
 
 #include "monitoring/equivalence_classes.hpp"
 #include "monitoring/equivalence_graph.hpp"
+#include "monitoring/path_arena.hpp"
 #include "test_helpers.hpp"
 
 namespace splace {
@@ -145,27 +146,57 @@ TEST(EquivalenceClasses, UncertaintyDistributionCountsAllVertices) {
 
 class EquivalenceAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Every quantity the flat partition reports equals the literal graph's,
+/// and class_of lists each class ascending.
+void expect_agrees(const EquivalenceGraph& q, const EquivalenceClasses& c) {
+  const std::size_t n = q.node_count();
+  ASSERT_EQ(q.identifiable_count(), c.identifiable_count());
+  ASSERT_EQ(q.distinguishable_pairs(), c.distinguishable_pairs());
+  for (NodeId x = 0; x <= n; ++x) {
+    ASSERT_EQ(q.degree(x), c.degree_of_uncertainty(x));
+    ASSERT_EQ(q.degree(x) + 1, c.class_size(x));
+    std::vector<NodeId> members;
+    for (NodeId y = 0; y <= n; ++y)
+      if (y == x || q.has_edge(x, y)) members.push_back(y);
+    ASSERT_EQ(c.class_of(x), members) << "class of " << x;
+  }
+  for (NodeId v = 0; v <= n; ++v)
+    for (NodeId w = static_cast<NodeId>(v + 1); w <= n; ++w)
+      ASSERT_EQ(q.has_edge(v, w), c.indistinguishable(v, w))
+          << "pair " << v << "," << w;
+  const Histogram expected = q.uncertainty_distribution();
+  const Histogram actual = c.uncertainty_distribution();
+  ASSERT_EQ(expected.total(), actual.total());
+  ASSERT_EQ(expected.counts(), actual.counts());
+}
+
 TEST_P(EquivalenceAgreement, GraphAndClassesAgreeOnRandomPaths) {
   Rng rng(GetParam());
   const std::size_t n = 8 + rng.index(8);
   const PathSet paths = testing::random_path_set(n, 12, 5, rng);
 
+  // The flat partition refines two ways — add_path, and add_paths over a
+  // one-row arena set of the same path — and both track Algorithm 1.
+  PathArena arena(n);
+  std::vector<std::uint32_t> rows;
   EquivalenceGraph q(n);
   EquivalenceClasses classes(n);
+  EquivalenceClasses from_arena(n);
   for (const MeasurementPath& p : paths.paths()) {
+    rows.push_back(arena.intern_path(p.nodes()));
     q.add_path(p);
     classes.add_path(p);
+    from_arena.add_paths(arena.ref(arena.intern_set({rows.back()})));
 
     // Agreement after every incremental step.
-    ASSERT_EQ(q.identifiable_count(), classes.identifiable_count());
-    ASSERT_EQ(q.distinguishable_pairs(), classes.distinguishable_pairs());
-    for (NodeId x = 0; x <= n; ++x)
-      ASSERT_EQ(q.degree(x), classes.degree_of_uncertainty(x));
-    for (NodeId v = 0; v <= n; ++v)
-      for (NodeId w = static_cast<NodeId>(v + 1); w <= n; ++w)
-        ASSERT_EQ(q.has_edge(v, w), classes.indistinguishable(v, w))
-            << "pair " << v << "," << w;
+    expect_agrees(q, classes);
+    expect_agrees(q, from_arena);
   }
+
+  // One multi-row set reaches the same partition in a single call.
+  EquivalenceClasses whole(n);
+  whole.add_paths(arena.ref(arena.intern_set(rows)));
+  expect_agrees(q, whole);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceAgreement,

@@ -28,13 +28,13 @@ TEST(Greedy, ObjectiveValueMatchesPlacementEvaluation) {
   Rng rng(2);
   const auto inst = testing::random_instance(12, 20, 3, 2, 0.8, rng);
   const GreedyResult gc = greedy_placement(inst, ObjectiveKind::Coverage);
-  const MetricReport report = evaluate_placement_k1(inst, gc.placement);
+  const MetricReport report = evaluate_placement(inst, gc.placement);
   EXPECT_DOUBLE_EQ(gc.objective_value,
                    static_cast<double>(report.coverage));
 
   const GreedyResult gd =
       greedy_placement(inst, ObjectiveKind::Distinguishability);
-  const MetricReport report_d = evaluate_placement_k1(inst, gd.placement);
+  const MetricReport report_d = evaluate_placement(inst, gd.placement);
   EXPECT_DOUBLE_EQ(gd.objective_value,
                    static_cast<double>(report_d.distinguishability));
 }

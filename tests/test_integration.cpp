@@ -70,7 +70,7 @@ TEST(Integration, UncertaintyDistributionIsBimodalShaped) {
   EXPECT_EQ(hist.total(), inst.node_count() + 1);
   EXPECT_GT(hist.fraction(0), 0.0);  // some identifiable nodes
   // The uncovered cluster sits at degree = #uncovered (nodes + v0 − 1).
-  const MetricReport report = evaluate_placement_k1(inst, gd.placement);
+  const MetricReport report = evaluate_placement(inst, gd.placement);
   const std::size_t uncovered = inst.node_count() - report.coverage;
   EXPECT_GT(hist.fraction(uncovered), 0.0);
 }

@@ -105,7 +105,7 @@ TEST_P(CatalogInvariants, PlacementsRespectQosAndMetricsAreOrdered) {
       EXPECT_TRUE(inst.is_candidate(s, p[s]));
 
   // The greedy winners dominate QoS on their own objective.
-  const MetricReport m_qos = evaluate_placement_k1(inst, qos);
+  const MetricReport m_qos = evaluate_placement(inst, qos);
   EXPECT_GE(gc.objective_value, static_cast<double>(m_qos.coverage));
   EXPECT_GE(gd.objective_value,
             static_cast<double>(m_qos.distinguishability));
@@ -151,7 +151,7 @@ TEST(MetricRelations, EmptyNetworkEdgeCases) {
   svc.clients = {0};
   svc.alpha = 1.0;
   const ProblemInstance inst(Graph(1), {svc});
-  const MetricReport m = evaluate_placement_k1(inst, {0});
+  const MetricReport m = evaluate_placement(inst, {0});
   EXPECT_EQ(m.coverage, 1u);
   EXPECT_EQ(m.identifiability, 1u);
   EXPECT_EQ(m.distinguishability, 1u);  // pair ({0}, ∅)

@@ -6,11 +6,15 @@
 #include <memory>
 #include <vector>
 
+#include "core/metrics_report.hpp"
 #include "graph/generators.hpp"
 #include "graph/routing.hpp"
 #include "monitoring/composite.hpp"
 #include "monitoring/equivalence_classes.hpp"
+#include "monitoring/fast_eval.hpp"
 #include "monitoring/objective.hpp"
+#include "placement/baselines.hpp"
+#include "placement/greedy.hpp"
 #include "placement/service.hpp"
 #include "test_helpers.hpp"
 #include "topology/rocketfuel.hpp"
@@ -155,6 +159,29 @@ void expect_arena_matches_legacy(const Graph& g, std::uint64_t seed) {
     }
   }
 
+  // Arena commits: add_paths(ArenaPathsRef) leaves every state where
+  // committing the materialized set does — natively at k = 1, through the
+  // bridge at k = 2 — so values and every later gain agree.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    for (const ObjectiveKind kind :
+         {ObjectiveKind::Coverage, ObjectiveKind::Identifiability,
+          ObjectiveKind::Distinguishability}) {
+      auto by_arena = make_objective_state(kind, n, k);
+      auto by_legacy = make_objective_state(kind, n, k);
+      for (std::size_t i = 0; i < sets.size(); ++i) {
+        by_arena->add_paths(arena.ref(sets[i]));
+        by_legacy->add_paths(arena.ref(sets[i]).materialize());
+        ASSERT_EQ(by_arena->value(), by_legacy->value())
+            << to_string(kind) << " k=" << k << " after set " << i;
+        if (i + 1 < sets.size()) {
+          ASSERT_EQ(by_arena->gain(arena.ref(sets[i + 1])),
+                    by_legacy->gain(legacy[i + 1]))
+              << to_string(kind) << " k=" << k << " set " << i + 1;
+        }
+      }
+    }
+  }
+
   // Raw split_delta equivalence, including on a partially refined partition.
   EquivalenceClasses classes(n);
   classes.add_paths(legacy[0]);
@@ -167,22 +194,130 @@ void expect_arena_matches_legacy(const Graph& g, std::uint64_t seed) {
   }
 }
 
+/// The placement-evaluation property on the same graph: 3 services of 3
+/// clients (drawn from the component of the best-connected node), scored
+/// at k = 1 by the arena-native evaluate_placement, by the legacy
+/// evaluate_paths_k1(paths_for_placement(...)) oracle and by
+/// FastK1Evaluator, for the QoS and greedy placements and random ones.
+void expect_placement_evaluation_matches(const Graph& g, std::uint64_t seed) {
+  const std::size_t n = g.node_count();
+  NodeId hub = 0;
+  for (NodeId v = 1; v < n; ++v)
+    if (g.degree(v) > g.degree(hub)) hub = v;
+  const RoutingTable routing(g);
+  std::vector<NodeId> pool;
+  for (NodeId v = 0; v < n; ++v)
+    if (routing.reachable(hub, v)) pool.push_back(v);
+  Rng rng(seed);
+  std::vector<Service> services(3);
+  for (Service& svc : services) {
+    svc.clients = rng.sample(pool, 3);
+    svc.alpha = 0.5;
+  }
+  const ProblemInstance inst(g, std::move(services));
+
+  std::vector<std::vector<PathSet>> options(inst.service_count());
+  for (std::size_t s = 0; s < inst.service_count(); ++s)
+    for (NodeId h : inst.candidate_hosts(s))
+      options[s].push_back(inst.paths_for(s, h));
+  const FastK1Evaluator fast(n, options);
+
+  std::vector<Placement> placements = {
+      best_qos_placement(inst),
+      greedy_placement(inst, ObjectiveKind::Distinguishability).placement,
+      greedy_placement(inst, ObjectiveKind::Identifiability).placement};
+  for (int trial = 0; trial < 8; ++trial)
+    placements.push_back(random_placement(inst, rng));
+
+  for (const Placement& placement : placements) {
+    const MetricReport arena = evaluate_placement(inst, placement, 1);
+    const MetricReport oracle =
+        evaluate_paths_k1(inst.paths_for_placement(placement));
+    std::vector<std::size_t> choice(inst.service_count());
+    for (std::size_t s = 0; s < choice.size(); ++s) {
+      const std::vector<NodeId>& hosts = inst.candidate_hosts(s);
+      choice[s] = static_cast<std::size_t>(
+          std::lower_bound(hosts.begin(), hosts.end(), placement[s]) -
+          hosts.begin());
+    }
+    const FastK1Evaluator::Metrics packed = fast.evaluate(choice);
+    EXPECT_EQ(arena.coverage, oracle.coverage);
+    EXPECT_EQ(arena.identifiability, oracle.identifiability);
+    EXPECT_EQ(arena.distinguishability, oracle.distinguishability);
+    EXPECT_EQ(packed.coverage, oracle.coverage);
+    EXPECT_EQ(packed.identifiability, oracle.identifiability);
+    EXPECT_EQ(packed.distinguishability, oracle.distinguishability);
+  }
+}
+
 TEST(PathArenaProperty, ErdosRenyi) {
   Rng rng(31);
-  expect_arena_matches_legacy(erdos_renyi(60, 0.08, rng), 1);
+  const Graph g = erdos_renyi(60, 0.08, rng);
+  expect_arena_matches_legacy(g, 1);
+  expect_placement_evaluation_matches(g, 1);
 }
 
 TEST(PathArenaProperty, PreferentialAttachment) {
   Rng rng(32);
-  expect_arena_matches_legacy(preferential_attachment(80, 2, rng), 2);
+  const Graph g = preferential_attachment(80, 2, rng);
+  expect_arena_matches_legacy(g, 2);
+  expect_placement_evaluation_matches(g, 2);
 }
 
 TEST(PathArenaProperty, Grid) {
-  expect_arena_matches_legacy(grid_graph(9, 11), 3);
+  const Graph g = grid_graph(9, 11);
+  expect_arena_matches_legacy(g, 3);
+  expect_placement_evaluation_matches(g, 3);
 }
 
 TEST(PathArenaProperty, Rocketfuel) {
-  expect_arena_matches_legacy(topology::abovenet(), 4);
+  const Graph g = topology::abovenet();
+  expect_arena_matches_legacy(g, 4);
+  expect_placement_evaluation_matches(g, 4);
+}
+
+/// A 200-node preferential-attachment instance whose first service has 70
+/// clients, so its candidate sets hold more than 64 paths: no signature
+/// word, no FastK1Evaluator, and its greedy gains take the clone path.
+ProblemInstance wide_instance() {
+  Rng rng(2024);
+  Graph g = preferential_attachment(200, 2, rng);
+  std::vector<NodeId> pool(g.node_count());
+  for (NodeId v = 0; v < pool.size(); ++v) pool[v] = v;
+  std::vector<Service> services(3);
+  services[0].clients = rng.sample(pool, 70);
+  services[1].clients = rng.sample(pool, 4);
+  services[2].clients = rng.sample(pool, 4);
+  for (Service& svc : services) svc.alpha = 0.5;
+  return ProblemInstance(std::move(g), std::move(services));
+}
+
+TEST(PathArenaInstance, WideSetEvaluationMatchesLegacy) {
+  const ProblemInstance inst = wide_instance();
+  ASSERT_GT(inst.arena_paths_for(0, inst.best_qos_host(0)).size(), 64u);
+  Rng rng(5);
+  std::vector<Placement> placements = {best_qos_placement(inst)};
+  for (int trial = 0; trial < 6; ++trial)
+    placements.push_back(random_placement(inst, rng));
+  for (const Placement& placement : placements) {
+    const MetricReport arena = evaluate_placement(inst, placement, 1);
+    const MetricReport oracle =
+        evaluate_paths_k1(inst.paths_for_placement(placement));
+    EXPECT_EQ(arena.coverage, oracle.coverage);
+    EXPECT_EQ(arena.identifiability, oracle.identifiability);
+    EXPECT_EQ(arena.distinguishability, oracle.distinguishability);
+  }
+}
+
+TEST(PathArenaInstance, WideSetGreedyPlacementsAreUnchanged) {
+  // Recorded from the path-by-path partition, before greedy commits went
+  // through the arena.
+  const ProblemInstance inst = wide_instance();
+  EXPECT_EQ(greedy_placement(inst, ObjectiveKind::Distinguishability)
+                .placement,
+            (Placement{7, 150, 84}));
+  EXPECT_EQ(greedy_placement(inst, ObjectiveKind::Identifiability).placement,
+            (Placement{52, 69, 85}));
 }
 
 TEST(PathArenaInstance, ArenaPathsMatchLegacyPaths) {
@@ -225,10 +360,19 @@ TEST(PathArenaInstance, CompositeGainMatchesLegacy) {
   weights.distinguishability = 0.7;
   auto state = make_composite_objective_state(inst.node_count(), 1, weights);
   state->add_paths(inst.paths_for(0, inst.candidate_hosts(0).front()));
+  // An arena commit forwards to every weighted component.
+  auto by_arena =
+      make_composite_objective_state(inst.node_count(), 1, weights);
+  by_arena->add_paths(
+      inst.arena_paths_for(0, inst.candidate_hosts(0).front()));
+  EXPECT_EQ(by_arena->value(), state->value());
   for (std::size_t s = 0; s < inst.service_count(); ++s)
-    for (NodeId h : inst.candidate_hosts(s))
+    for (NodeId h : inst.candidate_hosts(s)) {
       EXPECT_EQ(state->gain(inst.arena_paths_for(s, h)),
                 state->gain(inst.paths_for(s, h)));
+      EXPECT_EQ(by_arena->gain(inst.arena_paths_for(s, h)),
+                state->gain(inst.paths_for(s, h)));
+    }
 }
 
 }  // namespace

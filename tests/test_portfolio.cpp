@@ -247,36 +247,45 @@ ProblemInstance runner_instance() {
 
 TEST(PortfolioRunner, WinnerIsBitIdenticalToDirectRun) {
   const ProblemInstance instance = runner_instance();
-  PortfolioSpec spec;
-  spec.algorithms = {"greedy", "pair_cover", "qos", "random"};
-  const PortfolioReport report = run_portfolio(instance, spec);
-  ASSERT_EQ(report.entries.size(), spec.algorithms.size());
+  for (const ObjectiveKind objective :
+       {ObjectiveKind::Coverage, ObjectiveKind::Identifiability,
+        ObjectiveKind::Distinguishability}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+      PortfolioSpec spec;
+      spec.algorithms = {"greedy", "pair_cover", "qos", "random"};
+      spec.objective = objective;
+      spec.k = k;
+      const PortfolioReport report = run_portfolio(instance, spec);
+      ASSERT_EQ(report.entries.size(), spec.algorithms.size());
 
-  AlgorithmSpec direct;
-  direct.objective = spec.objective;
-  direct.k = spec.k;
-  direct.seed = spec.seed;
-  direct.options = spec.options;
-  direct.bf_budget = spec.bf_budget;
-  for (const PortfolioEntry& entry : report.entries) {
-    ASSERT_TRUE(entry.ok()) << entry.algorithm << ": " << entry.error;
-    const AlgorithmResult rerun =
-        make_algorithm(entry.algorithm)->execute(instance, direct);
-    EXPECT_EQ(entry.placement, rerun.placement) << entry.algorithm;
-    EXPECT_DOUBLE_EQ(entry.reported_value, rerun.reported_value)
-        << entry.algorithm;
-    EXPECT_EQ(entry.evaluations, rerun.evaluations) << entry.algorithm;
-    // Entries are ranked by the COMMON objective, not self-reported values.
-    EXPECT_DOUBLE_EQ(
-        entry.objective_value,
-        evaluate_objective(spec.objective,
-                           instance.paths_for_placement(entry.placement),
-                           spec.k))
-        << entry.algorithm;
+      AlgorithmSpec direct;
+      direct.objective = spec.objective;
+      direct.k = spec.k;
+      direct.seed = spec.seed;
+      direct.options = spec.options;
+      direct.bf_budget = spec.bf_budget;
+      for (const PortfolioEntry& entry : report.entries) {
+        ASSERT_TRUE(entry.ok()) << entry.algorithm << ": " << entry.error;
+        const AlgorithmResult rerun =
+            make_algorithm(entry.algorithm)->execute(instance, direct);
+        EXPECT_EQ(entry.placement, rerun.placement) << entry.algorithm;
+        EXPECT_DOUBLE_EQ(entry.reported_value, rerun.reported_value)
+            << entry.algorithm;
+        EXPECT_EQ(entry.evaluations, rerun.evaluations) << entry.algorithm;
+        // Entries are ranked by the COMMON objective, not self-reported
+        // values; evaluate_objective over the legacy path set is the oracle.
+        EXPECT_DOUBLE_EQ(
+            entry.objective_value,
+            evaluate_objective(spec.objective,
+                               instance.paths_for_placement(entry.placement),
+                               spec.k))
+            << entry.algorithm << " " << to_string(objective) << " k=" << k;
+      }
+      const PortfolioEntry& best = report.best();
+      for (const PortfolioEntry& entry : report.entries)
+        EXPECT_LE(entry.objective_value, best.objective_value);
+    }
   }
-  const PortfolioEntry& best = report.best();
-  for (const PortfolioEntry& entry : report.entries)
-    EXPECT_LE(entry.objective_value, best.objective_value);
 }
 
 TEST(PortfolioRunner, PooledRunMatchesSequential) {

@@ -49,7 +49,7 @@ TEST(Stress, FatTreePipelineEndToEnd) {
   const ProblemInstance inst(std::move(g), services);
   const GreedyResult gd =
       greedy_placement(inst, ObjectiveKind::Distinguishability);
-  const MetricReport m = evaluate_placement_k1(inst, gd.placement);
+  const MetricReport m = evaluate_placement(inst, gd.placement);
   EXPECT_GT(m.coverage, 0u);
   EXPECT_GT(m.distinguishability, 0u);
   // Localize a core-switch failure.

@@ -88,7 +88,7 @@ TEST_P(Theorem19, DistinguishabilityApproximatesIdentifiability) {
 
   // σ0: non-identifiable nodes under the max-distinguishability placement.
   const MetricReport md =
-      evaluate_placement_k1(inst, bf->distinguishability.placement);
+      evaluate_placement(inst, bf->distinguishability.placement);
   const std::size_t sigma0 = n - md.identifiability;
   // σ*: minimum achievable non-identifiable count.
   const std::size_t sigma_star = n - bf->identifiability.value;
