@@ -108,8 +108,8 @@ CliOptions parse(int argc, char** argv) {
     else if (arg == "--csv") opts.csv = true;
     else if (arg == "--sweep") opts.sweep = true;
     else if (arg == "--list-algorithms") {
-      // Classic enum spellings first, then the full registry (which the
-      // enum path is also re-registered into).
+      // The paper's labels and bb first, then the full registry, which
+      // every label runs through.
       std::cout << "enum:     gd gc gi qos rd bf bb\nregistry:";
       for (const std::string& name : algorithm_names())
         std::cout << ' ' << name;
@@ -179,53 +179,40 @@ LoadedProblem load_problem(const CliOptions& opts) {
 }
 
 Placement compute(const CliOptions& opts, const ProblemInstance& instance) {
-  Rng rng(opts.seed);
+  // bb and registry names (--list-algorithms) maximize GD's objective; a
+  // paper label runs as its registry entry under the label's objective.
+  std::string name = opts.algorithm;
+  AlgorithmSpec spec;
+  spec.k = opts.k;
+  spec.seed = opts.seed;
+  if (name != "bb" && !is_registered_algorithm(name)) {
+    try {
+      const RegistryEntry& entry = registry_entry(parse_algorithm(name));
+      name = entry.name;
+      spec.objective = entry.objective;
+    } catch (const InvalidInput&) {
+      usage_error("unknown --algorithm '" + opts.algorithm +
+                  "' (see --list-algorithms)");
+    }
+  }
   if (opts.capacity >= 0.0) {
     CapacityConstraints constraints;
     constraints.host_capacity.assign(instance.node_count(), opts.capacity);
-    const ObjectiveKind kind = opts.algorithm == "gc"
-                                   ? ObjectiveKind::Coverage
-                                   : opts.algorithm == "gi"
-                                         ? ObjectiveKind::Identifiability
-                                         : ObjectiveKind::Distinguishability;
-    const CapacityGreedyResult result =
-        greedy_capacity_placement(instance, constraints, kind, opts.k);
+    const CapacityGreedyResult result = greedy_capacity_placement(
+        instance, constraints, spec.objective, opts.k);
     if (!result.complete) {
       std::cerr << "warning: capacity too tight, some services unplaced\n";
       std::exit(3);
     }
     return result.placement;
   }
-  if (opts.algorithm == "gd")
-    return greedy_placement(instance, ObjectiveKind::Distinguishability,
-                            opts.k)
-        .placement;
-  if (opts.algorithm == "gc")
-    return greedy_placement(instance, ObjectiveKind::Coverage, opts.k)
-        .placement;
-  if (opts.algorithm == "gi")
-    return greedy_placement(instance, ObjectiveKind::Identifiability, opts.k)
-        .placement;
-  if (opts.algorithm == "qos") return best_qos_placement(instance);
-  if (opts.algorithm == "rd") return random_placement(instance, rng);
-  if (opts.algorithm == "bf") {
-    const auto bf = brute_force_k1(instance);
-    if (!bf) usage_error("search space too large for --algorithm bf");
-    return bf->distinguishability.placement;
+  if (name == "bb")
+    return branch_and_bound(instance, spec.objective, opts.k).placement;
+  try {
+    return make_algorithm(name)->execute(instance, spec).placement;
+  } catch (const InvalidInput& error) {
+    usage_error(error.what());
   }
-  if (opts.algorithm == "bb")
-    return branch_and_bound(instance, ObjectiveKind::Distinguishability,
-                            opts.k)
-        .placement;
-  if (is_registered_algorithm(opts.algorithm)) {
-    // Any registry entry (--list-algorithms), maximizing GD's objective.
-    AlgorithmSpec spec;
-    spec.k = opts.k;
-    spec.seed = opts.seed;
-    return make_algorithm(opts.algorithm)->execute(instance, spec).placement;
-  }
-  usage_error("unknown --algorithm '" + opts.algorithm +
-              "' (see --list-algorithms)");
 }
 
 }  // namespace

@@ -11,13 +11,13 @@ TSAN_SUITES="test_thread_pool test_greedy test_lazy_greedy test_determinism \
   test_engine test_engine_stress test_dynamic test_dynamic_engine \
   test_engine_trace test_api test_stream test_metrics_text \
   test_path_arena test_kernels test_stochastic test_cascade test_shard \
-  test_algorithm_registry test_portfolio"
+  test_algorithm_registry test_portfolio test_brute_force"
 ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_dynamic test_dynamic_engine test_engine_trace test_api test_stream \
   test_metrics_text test_path_arena test_kernels test_stochastic \
   test_cascade test_shard test_algorithm_registry test_portfolio \
   test_localization test_sim test_sim_trace test_equivalence \
-  test_objective_gain test_metric_relations"
+  test_objective_gain test_metric_relations test_experiment test_scenario"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio \
@@ -34,16 +34,17 @@ require_suites() {
 }
 
 # TSan pass over the concurrency-sensitive suites: the thread pool itself,
-# the parallel placement engines (greedy / lazy greedy / brute force), the
-# serving engine (snapshot registry, result cache, admission control), and
-# the dynamic-topology subsystem (incremental derives, placement repair).
+# the parallel placement engines (greedy / lazy greedy / brute force, whose
+# chunked sweep merges under a mutex), the serving engine (snapshot
+# registry, result cache, admission control), and the dynamic-topology
+# subsystem (incremental derives, placement repair).
 cmake -B build-tsan -G Ninja -DSPLACE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-tsan --target $TSAN_SUITES
 require_suites build-tsan $TSAN_SUITES
 ctest --test-dir build-tsan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|BruteForce"
 
 # ASan pass over the serving layer: the engine moves results through
 # futures, a shared LRU cache, and snapshots that share routing trees and
@@ -53,14 +54,16 @@ ctest --test-dir build-tsan --output-on-failure \
 # overlay hook (the cascade suite drives the hook; these drive the noise and
 # untraced paths only they reach). The equivalence, gain and metric-relation
 # suites cover the flat partition, whose refinement is index arithmetic over
-# positions, class ids and class ranges.
+# positions, class ids and class ranges. The experiment and scenario suites
+# cover the label table every front door (replay, scenario files, the CLI)
+# resolves algorithm tokens through.
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.

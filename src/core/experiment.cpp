@@ -1,22 +1,59 @@
 #include "core/experiment.hpp"
 
+#include "placement/algorithm.hpp"
 #include "placement/baselines.hpp"
 #include "placement/brute_force.hpp"
-#include "placement/greedy.hpp"
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace splace {
 
-std::string to_string(Algorithm algo) {
-  switch (algo) {
-    case Algorithm::QoS: return "QoS";
-    case Algorithm::RD: return "RD";
-    case Algorithm::GC: return "GC";
-    case Algorithm::GI: return "GI";
-    case Algorithm::GD: return "GD";
-    case Algorithm::BF: return "BF";
-  }
-  return "?";
+namespace {
+
+/// The label table, indexed by the enum: the one place a label is spelled
+/// or mapped to the registry.
+struct Label {
+  Algorithm algorithm;
+  const char* abbreviation;
+  const char* token;
+  RegistryEntry entry;
+};
+
+constexpr Label kLabels[] = {
+    {Algorithm::QoS, "QoS", "qos", {"qos", ObjectiveKind::Distinguishability}},
+    {Algorithm::RD, "RD", "rd", {"random", ObjectiveKind::Distinguishability}},
+    {Algorithm::GC, "GC", "gc", {"greedy", ObjectiveKind::Coverage}},
+    {Algorithm::GI, "GI", "gi", {"greedy", ObjectiveKind::Identifiability}},
+    {Algorithm::GD, "GD", "gd", {"greedy", ObjectiveKind::Distinguishability}},
+    {Algorithm::BF, "BF", "bf",
+     {"brute_force", ObjectiveKind::Distinguishability}},
+};
+
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kLabels); ++i)
+    if (kLabels[i].algorithm != static_cast<Algorithm>(i)) return false;
+  return true;
+}());
+
+const Label& label(Algorithm algo) {
+  const auto index = static_cast<std::size_t>(algo);
+  SPLACE_EXPECTS(index < std::size(kLabels));
+  return kLabels[index];
+}
+
+}  // namespace
+
+std::string to_string(Algorithm algo) { return label(algo).abbreviation; }
+
+Algorithm parse_algorithm(const std::string& token) {
+  const std::string id = to_lower(token);
+  for (const Label& l : kLabels)
+    if (id == l.token) return l.algorithm;
+  throw InvalidInput("unknown algorithm '" + token + "'");
+}
+
+const RegistryEntry& registry_entry(Algorithm algo) {
+  return label(algo).entry;
 }
 
 const std::vector<Algorithm>& standard_algorithms() {
@@ -54,30 +91,16 @@ ProblemInstance make_instance(const topology::CatalogEntry& entry,
 }
 
 Placement compute_placement(const ProblemInstance& instance, Algorithm algo,
-                            Rng& rng, std::uint64_t bf_budget) {
-  switch (algo) {
-    case Algorithm::QoS:
-      return best_qos_placement(instance);
-    case Algorithm::RD:
-      return random_placement(instance, rng);
-    case Algorithm::GC:
-      return greedy_placement(instance, ObjectiveKind::Coverage).placement;
-    case Algorithm::GI:
-      return greedy_placement(instance, ObjectiveKind::Identifiability)
-          .placement;
-    case Algorithm::GD:
-      return greedy_placement(instance, ObjectiveKind::Distinguishability)
-          .placement;
-    case Algorithm::BF: {
-      // BF is per-measure; expose the distinguishability optimum here. Use
-      // brute_force_k1 directly when all three optima are needed.
-      const auto result = brute_force_k1(instance, bf_budget);
-      if (!result)
-        throw InvalidInput("BF search space exceeds the configured budget");
-      return result->distinguishability.placement;
-    }
-  }
-  throw ContractViolation("unknown algorithm");
+                            Rng& rng, std::uint64_t bf_budget, std::size_t k) {
+  // The registry's "random" seeds its own stream; RD draws from the
+  // caller's, which may keep drawing after the placement.
+  if (algo == Algorithm::RD) return random_placement(instance, rng);
+  const RegistryEntry& entry = registry_entry(algo);
+  AlgorithmSpec spec;
+  spec.objective = entry.objective;
+  spec.k = k;
+  spec.bf_budget = bf_budget;
+  return make_algorithm(entry.name)->execute(instance, spec).placement;
 }
 
 namespace {

@@ -12,16 +12,35 @@
 #include <vector>
 
 #include "core/metrics_report.hpp"
+#include "monitoring/objective.hpp"
 #include "placement/service.hpp"
 #include "topology/catalog.hpp"
 
 namespace splace {
 
-/// The algorithms compared in the paper's figures.
+/// The algorithms compared in the paper's figures. Each label runs as an
+/// entry of the algorithm registry (placement/algorithm.hpp). One label
+/// table maps it to its abbreviation, token, registry name and objective;
+/// the three functions below read it.
 enum class Algorithm { QoS, RD, GC, GI, GD, BF };
 
 /// Paper's abbreviation ("QoS", "RD", "GC", "GI", "GD", "BF").
 std::string to_string(Algorithm algo);
+
+/// Token ("qos", "rd", "gc", "gi", "gd", "bf"; any case, so abbreviations
+/// parse too) -> Algorithm; InvalidInput names an unknown token. The replay
+/// grammar, scenario files and splace_cli read labels through it.
+Algorithm parse_algorithm(const std::string& token);
+
+/// The registry entry a label runs as and the objective it maximizes: GC,
+/// GI, GD are "greedy" under coverage, identifiability, distinguishability;
+/// QoS is "qos" and RD "random" (objective-free); BF is "brute_force" under
+/// distinguishability.
+struct RegistryEntry {
+  const char* name = "";
+  ObjectiveKind objective = ObjectiveKind::Distinguishability;
+};
+const RegistryEntry& registry_entry(Algorithm algo);
 
 /// The five heuristic/baseline algorithms (BF excluded).
 const std::vector<Algorithm>& standard_algorithms();
@@ -37,10 +56,12 @@ std::vector<Service> make_services(const topology::CatalogEntry& entry,
 ProblemInstance make_instance(const topology::CatalogEntry& entry,
                               double alpha);
 
-/// Computes the placement an algorithm produces. RD uses `rng` (one trial);
-/// BF requires an affordable search space and throws InvalidInput otherwise.
+/// Runs a label's registry_entry() at failure bound `k`. RD instead draws
+/// one trial from `rng`, which the caller may keep drawing from. BF throws
+/// InvalidInput when its search exceeds `bf_budget` (AlgorithmSpec).
 Placement compute_placement(const ProblemInstance& instance, Algorithm algo,
-                            Rng& rng, std::uint64_t bf_budget = 50'000'000);
+                            Rng& rng, std::uint64_t bf_budget = 50'000'000,
+                            std::size_t k = 1);
 
 /// Sweep configuration (defaults mirror Section VI-A).
 struct SweepConfig {

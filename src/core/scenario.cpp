@@ -4,11 +4,9 @@
 #include <sstream>
 
 #include "core/experiment.hpp"
-#include "placement/baselines.hpp"
+#include "placement/algorithm.hpp"
 #include "placement/branch_bound.hpp"
-#include "placement/brute_force.hpp"
 #include "placement/capacity.hpp"
-#include "placement/greedy.hpp"
 #include "topology/catalog.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -105,10 +103,13 @@ Scenario parse_scenario(std::istream& in) {
       if (scenario.k < 1) fail(line_number, "k must be >= 1");
     } else if (key == "algorithm") {
       expect_args(1);
-      static const std::vector<std::string> known = {"gd", "gc", "gi",
-                                                     "qos", "rd", "bf", "bb"};
-      if (std::find(known.begin(), known.end(), args[0]) == known.end())
-        fail(line_number, "unknown algorithm '" + args[0] + "'");
+      if (args[0] != "bb") {
+        try {
+          parse_algorithm(args[0]);
+        } catch (const InvalidInput& error) {
+          fail(line_number, error.what());
+        }
+      }
       scenario.algorithm = args[0];
     } else if (key == "seed") {
       expect_args(1);
@@ -208,48 +209,30 @@ ProblemInstance build_scenario_instance(const Scenario& scenario) {
 
 ScenarioResult run_scenario(const Scenario& scenario) {
   const ProblemInstance instance = build_scenario_instance(scenario);
-  Rng rng(scenario.seed);
+  const bool bb = scenario.algorithm == "bb";
+  // bb, and the capacity greedy under it, maximize distinguishability.
+  const ObjectiveKind objective =
+      bb ? ObjectiveKind::Distinguishability
+         : registry_entry(parse_algorithm(scenario.algorithm)).objective;
 
   ScenarioResult result;
   if (scenario.capacity.has_value()) {
     CapacityConstraints constraints;
     constraints.host_capacity.assign(instance.node_count(),
                                      *scenario.capacity);
-    const ObjectiveKind kind =
-        scenario.algorithm == "gc"   ? ObjectiveKind::Coverage
-        : scenario.algorithm == "gi" ? ObjectiveKind::Identifiability
-                                     : ObjectiveKind::Distinguishability;
     const CapacityGreedyResult capped =
-        greedy_capacity_placement(instance, constraints, kind, scenario.k);
+        greedy_capacity_placement(instance, constraints, objective, scenario.k);
     if (!capped.complete)
       throw InvalidInput("scenario: capacity too tight to place all services");
     result.placement = capped.placement;
-  } else if (scenario.algorithm == "gd") {
+  } else if (bb) {
     result.placement =
-        greedy_placement(instance, ObjectiveKind::Distinguishability,
-                         scenario.k)
-            .placement;
-  } else if (scenario.algorithm == "gc") {
+        branch_and_bound(instance, objective, scenario.k).placement;
+  } else {
+    Rng rng(scenario.seed);
     result.placement =
-        greedy_placement(instance, ObjectiveKind::Coverage, scenario.k)
-            .placement;
-  } else if (scenario.algorithm == "gi") {
-    result.placement =
-        greedy_placement(instance, ObjectiveKind::Identifiability, scenario.k)
-            .placement;
-  } else if (scenario.algorithm == "qos") {
-    result.placement = best_qos_placement(instance);
-  } else if (scenario.algorithm == "rd") {
-    result.placement = random_placement(instance, rng);
-  } else if (scenario.algorithm == "bf") {
-    const auto bf = brute_force_k1(instance);
-    if (!bf) throw InvalidInput("scenario: bf search space too large");
-    result.placement = bf->distinguishability.placement;
-  } else {  // bb (validated at parse time)
-    result.placement =
-        branch_and_bound(instance, ObjectiveKind::Distinguishability,
-                         scenario.k)
-            .placement;
+        compute_placement(instance, parse_algorithm(scenario.algorithm), rng,
+                          AlgorithmSpec{}.bf_budget, scenario.k);
   }
 
   result.metrics = evaluate_placement(instance, result.placement, scenario.k);

@@ -9,7 +9,8 @@
 //   # edges 0-1 1-2 2-3 ...     # builds the graph from the link list
 //   alpha 0.6                   # QoS slack in [0, 1]
 //   k 1                         # failure bound for the metrics
-//   algorithm gd                # gd | gc | gi | qos | rd | bf | bb
+//   algorithm gd                # bb, or a label: gd | gc | gi | qos | rd
+//                               # | bf, any case (parse_algorithm)
 //   seed 42                     # RNG seed (rd baseline)
 //   capacity 2.0                # optional uniform per-host capacity
 //   service web 3 10 12         # explicit service: name + client node ids

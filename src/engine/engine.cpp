@@ -6,14 +6,10 @@
 #include "localization/localizer.hpp"
 #include "monitoring/failure_sets.hpp"
 #include "placement/algorithm.hpp"
-#include "placement/baselines.hpp"
-#include "placement/brute_force.hpp"
-#include "placement/greedy.hpp"
 #include "placement/options.hpp"
 #include "portfolio/portfolio.hpp"
 #include "stream/exposition.hpp"
 #include "util/error.hpp"
-#include "util/random.hpp"
 
 namespace splace::engine {
 namespace {
@@ -458,66 +454,25 @@ EngineResult Engine::execute(const PlaceRequest& request,
               k_error(request.k, instance.node_count(), /*enumerates=*/true)))
     return result;
   try {
-    PlacementOptions options;
-    options.threads = std::max<std::size_t>(1, request.threads);
+    // A label runs as its registry entry under the label's objective; a
+    // non-empty algorithm_name names any entry, under the request's
+    // objective. An unknown name throws InvalidInput, caught below.
+    const RegistryEntry& label = registry_entry(request.algorithm);
+    const bool named = !request.algorithm_name.empty();
+    AlgorithmSpec spec;
+    spec.objective = named ? request.objective : label.objective;
+    spec.k = request.k;
+    spec.seed = request.seed;
+    spec.options.threads = std::max<std::size_t>(1, request.threads);
     if (trace != nullptr)
-      options.profile_round = [trace](const GreedyRoundProfile& profile) {
+      spec.options.profile_round = [trace](const GreedyRoundProfile& profile) {
         trace->greedy_rounds.push_back(profile);
       };
-    if (!request.algorithm_name.empty()) {
-      // Registry path: any strategy from placement/algorithm.hpp, scored
-      // under the request's objective. An unknown name throws InvalidInput
-      // (listing every registered name), caught below as a bad request.
-      AlgorithmSpec spec;
-      spec.objective = request.objective;
-      spec.k = request.k;
-      spec.seed = request.seed;
-      spec.options = options;
-      const AlgorithmResult run =
-          make_algorithm(request.algorithm_name)->execute(instance, spec);
-      result.place.placement = run.placement;
-      result.place.objective_value = run.reported_value;
-      result.place.metrics =
-          evaluate_placement(instance, result.place.placement, request.k);
-      return result;
-    }
-    switch (request.algorithm) {
-      case Algorithm::QoS:
-        result.place.placement = best_qos_placement(instance);
-        break;
-      case Algorithm::RD: {
-        Rng rng(request.seed);
-        result.place.placement = random_placement(instance, rng);
-        break;
-      }
-      case Algorithm::GC:
-      case Algorithm::GI:
-      case Algorithm::GD: {
-        const ObjectiveKind kind =
-            request.algorithm == Algorithm::GC
-                ? ObjectiveKind::Coverage
-                : request.algorithm == Algorithm::GI
-                      ? ObjectiveKind::Identifiability
-                      : ObjectiveKind::Distinguishability;
-        GreedyResult greedy =
-            greedy_placement(instance, kind, request.k, options);
-        result.place.placement = std::move(greedy.placement);
-        result.place.objective_value = greedy.objective_value;
-        break;
-      }
-      case Algorithm::BF: {
-        const auto bf = brute_force_k1(instance);
-        if (!bf) {
-          result.outcome = Outcome::RejectedBadRequest;
-          result.message = "BF search space exceeds the budget";
-          return result;
-        }
-        result.place.placement = bf->distinguishability.placement;
-        result.place.objective_value =
-            static_cast<double>(bf->distinguishability.value);
-        break;
-      }
-    }
+    AlgorithmResult run =
+        make_algorithm(named ? request.algorithm_name : label.name)
+            ->execute(instance, spec);
+    result.place.placement = std::move(run.placement);
+    result.place.objective_value = run.reported_value;
     result.place.metrics =
         evaluate_placement(instance, result.place.placement, request.k);
   } catch (const std::exception& error) {

@@ -46,12 +46,6 @@ double parse_double(const std::string& token, std::size_t line) {
   }
 }
 
-std::string lower(std::string text) {
-  for (char& c : text)
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  return text;
-}
-
 ReplaySnapshotSpec parse_snapshot_line(const std::vector<std::string>& tokens,
                                        std::size_t line) {
   if (tokens.size() < 2 || tokens.size() % 2 != 0)
@@ -90,12 +84,12 @@ ReplayRequestSpec parse_request_line(RequestType type,
     spec.algorithm = "qos";  // cheap deterministic placement to observe
   } else {
     if (i < tokens.size() && tokens[i] != "k")
-      spec.algorithm = lower(tokens[i++]);
+      spec.algorithm = to_lower(tokens[i++]);
   }
   for (; i + 1 < tokens.size(); i += 2) {
     const std::string& key = tokens[i];
     if (key == "k") spec.k = parse_size(tokens[i + 1], line);
-    else if (key == "algorithm") spec.algorithm = lower(tokens[i + 1]);
+    else if (key == "algorithm") spec.algorithm = to_lower(tokens[i + 1]);
     else fail(line, "unknown request key '" + key + "'");
   }
   if (i != tokens.size()) fail(line, "dangling token '" + tokens[i] + "'");
@@ -110,11 +104,11 @@ ReplayCascadeSpec parse_cascade_line(const std::vector<std::string>& tokens,
   spec.snapshot = tokens[1];
   std::size_t i = 2;
   if (i < tokens.size() && tokens.size() % 2 != 0)
-    spec.algorithm = lower(tokens[i++]);
+    spec.algorithm = to_lower(tokens[i++]);
   for (; i + 1 < tokens.size(); i += 2) {
     const std::string& key = tokens[i];
     const std::string& value = tokens[i + 1];
-    if (key == "algorithm") spec.algorithm = lower(value);
+    if (key == "algorithm") spec.algorithm = to_lower(value);
     else if (key == "strength") spec.strength = parse_double(value, line);
     else if (key == "density") spec.density = parse_double(value, line);
     else if (key == "episodes") spec.episodes = parse_size(value, line);
@@ -142,7 +136,7 @@ ReplayRequestSpec parse_portfolio_line(const std::vector<std::string>& tokens,
   spec.snapshot = tokens[1];
   std::size_t i = 2;
   for (; i < tokens.size() && tokens[i] != "k"; ++i) {
-    const std::string name = lower(tokens[i]);
+    const std::string name = to_lower(tokens[i]);
     if (!is_registered_algorithm(name))
       fail(line, "unknown registry algorithm '" + name + "'");
     spec.portfolio_algorithms.push_back(name);
@@ -180,17 +174,6 @@ TenantQuota parse_quota_line(const std::vector<std::string>& tokens,
 }
 
 }  // namespace
-
-Algorithm parse_algorithm(const std::string& name) {
-  const std::string id = lower(name);
-  if (id == "gd") return Algorithm::GD;
-  if (id == "gc") return Algorithm::GC;
-  if (id == "gi") return Algorithm::GI;
-  if (id == "qos") return Algorithm::QoS;
-  if (id == "rd") return Algorithm::RD;
-  if (id == "bf") return Algorithm::BF;
-  throw InvalidInput("unknown algorithm '" + name + "'");
-}
 
 ReplaySpec parse_replay(std::istream& in) {
   ReplaySpec spec;
@@ -276,7 +259,7 @@ ReplaySpec parse_replay(std::istream& in) {
       if (tokens[1] == "-") {
         current_algo.clear();
       } else {
-        current_algo = lower(tokens[1]);
+        current_algo = to_lower(tokens[1]);
         if (!is_registered_algorithm(current_algo))
           fail(line, "unknown registry algorithm '" + current_algo + "'");
       }

@@ -19,7 +19,8 @@
 //   snapshot net1 topology tiscali alpha 0.6 services 5 clients 3
 //
 //   # the request mix, each line one request per repeat iteration
-//   place net1 gd             # algorithm: gd|gc|gi|qos|rd|bf
+//   place net1 gd             # algorithm: gd|gc|gi|qos|rd|bf, any case
+//                             # (parse_algorithm, core/experiment.hpp)
 //   place net1 gc k 1
 //   evaluate net1 qos         # evaluates that algorithm's placement
 //   localize net1 2           # inject 2 random failures (deterministic
@@ -171,9 +172,6 @@ struct ReplaySpec {
 
 ReplaySpec parse_replay(std::istream& in);
 ReplaySpec parse_replay(const std::string& text);
-
-/// "gd"/"gc"/"gi"/"qos"/"rd"/"bf" (case-insensitive) -> Algorithm.
-Algorithm parse_algorithm(const std::string& name);
 
 /// A materialized workload: the registry with every named *base* snapshot
 /// built, plus the full request list (repeat iterations expanded,

@@ -48,15 +48,17 @@ bool is_rejected(Outcome outcome);
 /// Compute a placement on a snapshot with one of the paper's algorithms —
 /// or, when `algorithm_name` is non-empty, with any algorithm from the
 /// pluggable registry (placement/algorithm.hpp), scored under `objective`.
+/// Both run through the registry: a label runs as its registry_entry()
+/// (core/experiment.hpp) under the label's objective.
 struct PlaceRequest {
   std::uint64_t snapshot = 0;          ///< SnapshotRegistry content hash
   Algorithm algorithm = Algorithm::GD;
-  /// Registry algorithm name (e.g. "pair_cover"). Empty = use the classic
-  /// `algorithm` enum above. An unknown name is RejectedBadRequest listing
+  /// Registry algorithm name (e.g. "pair_cover"). Empty = run the paper
+  /// label `algorithm` above. An unknown name is RejectedBadRequest listing
   /// every registered name.
   std::string algorithm_name;
-  /// Objective a registry algorithm maximizes; ignored on the enum path
-  /// (GC/GI/GD imply their objectives).
+  /// Objective the `algorithm_name` entry maximizes. Applies only to
+  /// `algorithm_name`: a label implies its own objective.
   ObjectiveKind objective = ObjectiveKind::Distinguishability;
   std::size_t k = 1;                   ///< failure bound (greedy objectives)
   std::uint64_t seed = 42;             ///< RNG seed (RD / "random" only)
@@ -120,7 +122,9 @@ struct PortfolioRequest {
 
 struct PlaceResult {
   Placement placement;
-  /// f(P) reported by the greedy search (0 for QoS/RD/BF placements).
+  /// The algorithm's own reported value (AlgorithmResult::reported_value):
+  /// f(P) for the greedy family, the optimum for BF / "brute_force", and 0
+  /// for the objective-free QoS and RD.
   double objective_value = 0;
   MetricReport metrics;  ///< the placement's metric triple at the request's k
 };

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "monitoring/failure_sets.hpp"
 #include "placement/baselines.hpp"
 #include "placement/brute_force.hpp"
 #include "placement/greedy.hpp"
@@ -91,14 +92,18 @@ AlgorithmResult run_stochastic(const ProblemInstance& instance,
 
 AlgorithmResult run_brute_force(const ProblemInstance& instance,
                                 const AlgorithmSpec& spec) {
+  const std::uint64_t placements = search_space_size(instance);
+  const auto refusal = [&spec](const std::string& search) {
+    return InvalidInput("algorithm 'brute_force': " + search +
+                        " exceeds the budget of " +
+                        std::to_string(spec.bf_budget));
+  };
   if (spec.k == 1) {
     std::optional<BruteForceK1Result> swept =
         brute_force_k1(instance, spec.options, spec.bf_budget);
     if (!swept)
-      throw InvalidInput(
-          "algorithm 'brute_force': search space " +
-          std::to_string(search_space_size(instance)) +
-          " placements exceeds the budget of " + std::to_string(spec.bf_budget));
+      throw refusal("search space " + std::to_string(placements) +
+                    " placements");
     const OptimumK1& best = spec.objective == ObjectiveKind::Coverage
                                 ? swept->coverage
                             : spec.objective == ObjectiveKind::Identifiability
@@ -110,17 +115,19 @@ AlgorithmResult run_brute_force(const ProblemInstance& instance,
     result.evaluations = static_cast<std::size_t>(swept->placements_searched);
     return result;
   }
-  if (search_space_size(instance) > spec.bf_budget)
-    throw InvalidInput(
-        "algorithm 'brute_force': search space " +
-        std::to_string(search_space_size(instance)) +
-        " placements exceeds the budget of " + std::to_string(spec.bf_budget));
+  // Past k = 1 every placement enumerates F_k, so the budget bounds
+  // placements x |F_k|, compared by division so the product cannot overflow.
+  const std::size_t sets = failure_set_count(instance.node_count(), spec.k);
+  if (placements > spec.bf_budget / sets)
+    throw refusal("k = " + std::to_string(spec.k) + " search of " +
+                  std::to_string(placements) + " placements x " +
+                  std::to_string(sets) + " failure sets");
   BruteForceObjectiveResult exact =
       brute_force_objective(instance, spec.objective, spec.k);
   AlgorithmResult result;
   result.placement = std::move(exact.placement);
   result.reported_value = exact.value;
-  result.evaluations = static_cast<std::size_t>(search_space_size(instance));
+  result.evaluations = static_cast<std::size_t>(placements);
   return result;
 }
 

@@ -1,20 +1,20 @@
-// The pluggable placement-algorithm registry — the portfolio API.
+// The pluggable placement-algorithm registry — the one place a placement
+// is dispatched.
 //
-// Algorithm choice used to be a hard-coded enum (core/experiment.hpp's
-// Algorithm) threaded through the engine request types, the replay grammar,
-// and the CLI: adding one algorithm meant touching a dozen dispatch sites.
 // PlacementAlgorithm turns each search engine into a named strategy object
-// behind a string-keyed registry, so the portfolio runner, the engine's
-// PortfolioRequest, `splace_cli --list-algorithms`, and the benches all
-// enumerate one source of truth.
+// behind a string-keyed registry. The engine's PlaceRequest and
+// PortfolioRequest, compute_placement, scenario files, the replay grammar
+// and `splace_cli` all run placements through it. The paper's
+// labels (core/experiment.hpp's Algorithm: QoS, RD, GC, GI, GD, BF) are not
+// a second dispatch: each maps to one entry and objective through the label
+// table's registry_entry().
 //
-// The legacy free functions (greedy_placement, lazy_greedy_placement,
+// The free functions (greedy_placement, lazy_greedy_placement,
 // stochastic_greedy_placement, brute_force_k1, local_search_placement,
-// best_qos_placement, random_placement, OnlinePlacer) remain the
-// implementation — registry entries are thin adapters over them, and every
-// entry is bit-identical to the free-function call it wraps (gated by
-// tests/test_algorithm_registry.cpp). New call sites should prefer the
-// registry; the free functions are the deprecated-in-docs spelling.
+// best_qos_placement, random_placement, OnlinePlacer) are what the entries
+// wrap, and the oracles that tests and perfbench's direct calls check them
+// against: every entry is bit-identical to the free-function call it wraps
+// (gated by tests/test_algorithm_registry.cpp).
 #pragma once
 
 #include <cstddef>
@@ -42,8 +42,10 @@ struct AlgorithmSpec {
   std::size_t k = 1;            ///< failure bound for the objective
   std::uint64_t seed = 42;      ///< RNG seed ("random" only)
   PlacementOptions options;     ///< threads / profiling / stochastic pool
-  /// Search-space budget for "brute_force": the entry throws InvalidInput
-  /// instead of starting a sweep larger than this many placements.
+  /// Search budget for "brute_force": the entry throws InvalidInput instead
+  /// of starting a search past it. At k = 1 its unit is placements (the
+  /// word-packed sweep enumerates no failure sets); at k >= 2 it is
+  /// placements x |F_k|, the failure sets the exact search scores.
   std::uint64_t bf_budget = 50'000'000;
 };
 

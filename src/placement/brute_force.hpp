@@ -6,7 +6,8 @@
 //    for all three k = 1 measures (the paper computes the optimum separately
 //    per measure; one sweep tracking three maxima is equivalent).
 //  * brute_force_objective: generic exact search for one objective at any k
-//    via full re-evaluation (tests / tiny instances).
+//    via full re-evaluation — the registry's "brute_force" at k >= 2 (under
+//    its budget) and the tests' oracle on tiny instances.
 #pragma once
 
 #include <cstdint>
@@ -46,24 +47,24 @@ std::optional<BruteForceK1Result> brute_force_k1(
     std::uint64_t max_placements = 50'000'000);
 
 /// Parallel exhaustive k = 1 sweep: the first service's candidate hosts are
-/// distributed over the pool, each worker scanning its sub-product with a
-/// private evaluator. Optimal *values* are identical to brute_force_k1;
-/// among equal-value placements the merge deterministically keeps the
-/// lexicographically smallest witness.
+/// distributed over the pool, each worker running the same sweep over its
+/// sub-product with a private evaluator. Among equal-value placements the
+/// merge keeps the one the serial sweep meets first, so the result —
+/// values and witnesses — is identical to brute_force_k1 for every pool.
 std::optional<BruteForceK1Result> brute_force_k1_parallel(
     const ProblemInstance& instance, ThreadPool& pool,
     std::uint64_t max_placements = 50'000'000);
 
 /// PlacementOptions front end: dispatches to the serial sweep for
 /// options.threads == 1 and to a pool of resolved_threads() workers
-/// otherwise. Optimal values are identical either way; witnesses follow
-/// each engine's documented tie-break.
+/// otherwise. Values and witnesses are identical either way.
 std::optional<BruteForceK1Result> brute_force_k1(
     const ProblemInstance& instance, const PlacementOptions& options,
     std::uint64_t max_placements = 50'000'000);
 
-/// Generic exact optimum for a single objective (any k). Exponential and
-/// slow; intended for tests on tiny instances.
+/// Generic exact optimum for a single objective (any k): the first
+/// placement, in the sweep order, that reaches the maximum. Exponential and
+/// slow; callers bound it (AlgorithmSpec::bf_budget).
 struct BruteForceObjectiveResult {
   Placement placement;
   double value = 0;

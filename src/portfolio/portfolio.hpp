@@ -44,7 +44,7 @@ struct PortfolioSpec {
   std::size_t k = 1;
   std::uint64_t seed = 42;      ///< forwarded to seed-consuming algorithms
   PlacementOptions options;     ///< per-algorithm execution options
-  std::uint64_t bf_budget = 50'000'000;  ///< "brute_force" search-space cap
+  std::uint64_t bf_budget = 50'000'000;  ///< AlgorithmSpec::bf_budget
   /// Certificate depth: compute mis_certificate(placement, certificate_k)
   /// for every successful entry; 0 disables certificates.
   std::size_t certificate_k = 1;

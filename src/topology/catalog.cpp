@@ -1,11 +1,11 @@
 #include "topology/catalog.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 #include "topology/rocketfuel.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
+#include "util/string_util.hpp"
 
 namespace splace::topology {
 
@@ -24,19 +24,10 @@ const std::vector<CatalogEntry>& catalog() {
   return entries;
 }
 
-namespace {
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
-}
-}  // namespace
-
 const CatalogEntry& catalog_entry(const std::string& name) {
-  const std::string needle = lower(name);
+  const std::string needle = to_lower(name);
   for (const CatalogEntry& e : catalog())
-    if (lower(e.spec.name) == needle) return e;
+    if (to_lower(e.spec.name) == needle) return e;
   throw InvalidInput("unknown topology '" + name + "'");
 }
 

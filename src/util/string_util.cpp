@@ -48,4 +48,10 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
+std::string to_lower(std::string text) {
+  for (char& c : text)
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  return text;
+}
+
 }  // namespace splace

@@ -35,4 +35,7 @@ std::string format_double(double value, int precision = 2);
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
+/// `text` with ASCII letters lowered (locale-independent).
+std::string to_lower(std::string text);
+
 }  // namespace splace

@@ -104,6 +104,12 @@ TEST_P(ParallelBruteForce, MatchesSerialValues) {
   EXPECT_EQ(parallel->distinguishability.value,
             serial->distinguishability.value);
   EXPECT_EQ(parallel->placements_searched, serial->placements_searched);
+  // The merge keeps the witness the serial sweep meets first.
+  EXPECT_EQ(parallel->coverage.placement, serial->coverage.placement);
+  EXPECT_EQ(parallel->identifiability.placement,
+            serial->identifiability.placement);
+  EXPECT_EQ(parallel->distinguishability.placement,
+            serial->distinguishability.placement);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelBruteForce,
@@ -116,7 +122,7 @@ TEST(ParallelBruteForceMisc, WitnessesAchieveValuesAndAreDeterministic) {
   const auto a = brute_force_k1_parallel(inst, pool);
   const auto b = brute_force_k1_parallel(inst, pool);
   ASSERT_TRUE(a && b);
-  // Deterministic witness despite thread scheduling (lexicographic merge).
+  // Deterministic witness despite thread scheduling (serial-order merge).
   EXPECT_EQ(a->coverage.placement, b->coverage.placement);
   EXPECT_EQ(a->distinguishability.placement, b->distinguishability.placement);
   const MetricReport m =

@@ -162,15 +162,27 @@ TEST(Determinism, ParallelGreedyOnCatalogTopologyMatchesSequential) {
 }
 
 TEST(Determinism, BruteForceOptionsFrontEndMatchesSerial) {
+  // At alpha = 0.6 the chunks tie with different witnesses; the merge must
+  // still return the serial sweep's.
   const topology::CatalogEntry& entry = topology::catalog_entry("Abovenet");
-  const ProblemInstance inst = make_instance(entry, 0.2);
-  const auto serial = brute_force_k1(inst, PlacementOptions{1});
-  const auto parallel = brute_force_k1(inst, PlacementOptions{4});
-  ASSERT_TRUE(serial && parallel);
-  EXPECT_EQ(serial->coverage.value, parallel->coverage.value);
-  EXPECT_EQ(serial->identifiability.value, parallel->identifiability.value);
-  EXPECT_EQ(serial->distinguishability.value,
-            parallel->distinguishability.value);
+  for (const double alpha : {0.2, 0.6}) {
+    const ProblemInstance inst = make_instance(entry, alpha);
+    const auto serial = brute_force_k1(inst, PlacementOptions{1});
+    const auto parallel = brute_force_k1(inst, PlacementOptions{4});
+    ASSERT_TRUE(serial && parallel);
+    EXPECT_EQ(serial->coverage.value, parallel->coverage.value);
+    EXPECT_EQ(serial->identifiability.value, parallel->identifiability.value);
+    EXPECT_EQ(serial->distinguishability.value,
+              parallel->distinguishability.value);
+    EXPECT_EQ(serial->coverage.placement, parallel->coverage.placement)
+        << "alpha=" << alpha;
+    EXPECT_EQ(serial->identifiability.placement,
+              parallel->identifiability.placement)
+        << "alpha=" << alpha;
+    EXPECT_EQ(serial->distinguishability.placement,
+              parallel->distinguishability.placement)
+        << "alpha=" << alpha;
+  }
 }
 
 TEST(Determinism, TradeoffFrontierStable) {

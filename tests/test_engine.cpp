@@ -11,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -20,7 +21,9 @@
 #include "localization/observation.hpp"
 #include "monitoring/failure_sets.hpp"
 #include "placement/baselines.hpp"
+#include "placement/brute_force.hpp"
 #include "placement/greedy.hpp"
+#include "test_helpers.hpp"
 #include "topology/catalog.hpp"
 #include "util/error.hpp"
 
@@ -138,30 +141,125 @@ TEST(EngineCache, ZeroCapacityDisables) {
 }
 
 TEST(Engine, PlaceMatchesDirectLibraryCallAcrossThreadCounts) {
+  // Every paper label, and the registry name "brute_force", against its
+  // free-function oracle.
   Fixture fx;
-  const GreedyResult direct =
-      greedy_placement(fx.instance(), ObjectiveKind::Distinguishability, 1);
+  const ProblemInstance& instance = fx.instance();
+  struct Case {
+    Algorithm algorithm;
+    std::string algorithm_name;
+    Placement placement;
+    double objective_value = 0;
+  };
+  std::vector<Case> cases;
+  for (const auto& [algorithm, kind] :
+       {std::pair{Algorithm::GC, ObjectiveKind::Coverage},
+        std::pair{Algorithm::GI, ObjectiveKind::Identifiability},
+        std::pair{Algorithm::GD, ObjectiveKind::Distinguishability}}) {
+    const GreedyResult greedy = greedy_placement(instance, kind, 1);
+    cases.push_back({algorithm, "", greedy.placement, greedy.objective_value});
+  }
+  cases.push_back({Algorithm::QoS, "", best_qos_placement(instance)});
+  Rng rng(PlaceRequest{}.seed);
+  cases.push_back({Algorithm::RD, "", random_placement(instance, rng)});
+  // BF and "brute_force" return the serial sweep's witness at every thread
+  // count.
+  const auto bf = brute_force_k1(instance);
+  ASSERT_TRUE(bf.has_value());
+  EXPECT_EQ(bf->distinguishability.placement, (Placement{8, 6, 11, 3, 5}));
+  EXPECT_EQ(bf->distinguishability.value, 246u);
+  const double bf_value = static_cast<double>(bf->distinguishability.value);
+  cases.push_back(
+      {Algorithm::BF, "", bf->distinguishability.placement, bf_value});
+  cases.push_back({Algorithm::GD, "brute_force",
+                   bf->distinguishability.placement, bf_value});
+
   for (const std::size_t threads : {1u, 2u, 4u}) {
     for (const std::size_t cache : {0u, 64u}) {
       Engine engine(fx.registry, EngineConfig{threads, 256, cache});
-      PlaceRequest request;
-      request.snapshot = fx.snapshot->hash();
-      request.algorithm = Algorithm::GD;
-      request.threads = threads;
-      // Submit twice: the second may be served from cache and must still
-      // be bit-identical.
-      EngineResult first = engine.submit(request).get();
-      EngineResult second = engine.submit(request).get();
-      for (const EngineResult* result : {&first, &second}) {
-        ASSERT_TRUE(result->ok()) << result->message;
-        EXPECT_EQ(result->place.placement, direct.placement);
-        EXPECT_EQ(result->place.objective_value, direct.objective_value);
-      }
-      if (cache > 0) {
-        EXPECT_TRUE(second.cache_hit);
+      for (const Case& c : cases) {
+        PlaceRequest request;
+        request.snapshot = fx.snapshot->hash();
+        request.algorithm = c.algorithm;
+        request.algorithm_name = c.algorithm_name;
+        request.threads = threads;
+        // Submit twice: the second may be served from cache and must still
+        // be bit-identical.
+        EngineResult first = engine.submit(request).get();
+        EngineResult second = engine.submit(request).get();
+        for (const EngineResult* result : {&first, &second}) {
+          ASSERT_TRUE(result->ok()) << result->message;
+          EXPECT_EQ(result->place.placement, c.placement)
+              << to_string(c.algorithm) << ' ' << c.algorithm_name
+              << " threads=" << threads;
+          EXPECT_EQ(result->place.objective_value, c.objective_value)
+              << to_string(c.algorithm) << ' ' << c.algorithm_name;
+        }
+        if (cache > 0) {
+          EXPECT_TRUE(second.cache_hit);
+        }
       }
     }
   }
+}
+
+TEST(Engine, BruteForceAtK2IsTheExactOptimum) {
+  Rng rng(5);
+  const ProblemInstance tiny = splace::testing::random_instance(9, 14, 2, 2,
+                                                                1.0, rng);
+  auto registry = std::make_shared<SnapshotRegistry>();
+  const auto snapshot =
+      registry->add("tiny", Graph(tiny.graph()), tiny.services());
+  const BruteForceObjectiveResult direct = brute_force_objective(
+      snapshot->instance(), ObjectiveKind::Distinguishability, 2);
+  Engine engine(registry, EngineConfig{1, 256, 0});
+  PlaceRequest label;
+  label.snapshot = snapshot->hash();
+  label.algorithm = Algorithm::BF;
+  label.k = 2;
+  PlaceRequest named = label;
+  named.algorithm_name = "brute_force";
+  for (const PlaceRequest& request : {label, named}) {
+    const EngineResult result = engine.submit(request).get();
+    ASSERT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(result.place.placement, direct.placement);
+    EXPECT_EQ(result.place.objective_value, direct.value);
+    EXPECT_EQ(static_cast<double>(result.place.metrics.distinguishability),
+              direct.value);
+  }
+}
+
+TEST(Engine, BruteForceAtK2IsBoundedBySearchWork) {
+  // Abovenet at alpha = 0.6 has 259,200 placements; at k = 2 each would
+  // enumerate |F_2| = 254 failure sets, 65.8M in all, past the 50M budget.
+  Fixture fx;
+  ASSERT_EQ(search_space_size(fx.instance()), 259'200u);
+  ASSERT_EQ(failure_set_count(fx.instance().node_count(), 2), 254u);
+  Engine engine(fx.registry, EngineConfig{1, 256, 0});
+  PlaceRequest label;
+  label.snapshot = fx.snapshot->hash();
+  label.algorithm = Algorithm::BF;
+  label.k = 2;
+  PlaceRequest named = label;
+  named.algorithm_name = "brute_force";
+  for (const PlaceRequest& request : {label, named}) {
+    const EngineResult result = engine.submit(request).get();
+    EXPECT_EQ(result.outcome, Outcome::RejectedBadRequest);
+    EXPECT_NE(result.message.find("k = 2"), std::string::npos)
+        << result.message;
+  }
+
+  PortfolioRequest portfolio;
+  portfolio.snapshot = fx.snapshot->hash();
+  portfolio.algorithms = {"brute_force", "greedy"};
+  portfolio.k = 2;
+  const EngineResult raced = engine.submit(portfolio).get();
+  ASSERT_TRUE(raced.ok()) << raced.message;
+  ASSERT_EQ(raced.portfolio.entries.size(), 2u);
+  EXPECT_FALSE(raced.portfolio.entries[0].ok());
+  EXPECT_NE(raced.portfolio.entries[0].error.find("k = 2"), std::string::npos)
+      << raced.portfolio.entries[0].error;
+  EXPECT_EQ(raced.portfolio.winner, "greedy");
 }
 
 TEST(Engine, EvaluateAndLocalizeMatchDirectLibraryCalls) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
+#include "placement/algorithm.hpp"
+#include "placement/brute_force.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -14,6 +19,20 @@ TEST(Experiment, AlgorithmNames) {
   EXPECT_EQ(to_string(Algorithm::GI), "GI");
   EXPECT_EQ(to_string(Algorithm::GD), "GD");
   EXPECT_EQ(to_string(Algorithm::BF), "BF");
+
+  // Tokens round-trip in either case, and every label names a registered
+  // entry.
+  for (Algorithm a : {Algorithm::QoS, Algorithm::RD, Algorithm::GC,
+                      Algorithm::GI, Algorithm::GD, Algorithm::BF}) {
+    std::string token = to_string(a);
+    EXPECT_EQ(parse_algorithm(token), a) << token;
+    for (char& c : token)
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    EXPECT_EQ(parse_algorithm(token), a) << token;
+    EXPECT_TRUE(is_registered_algorithm(registry_entry(a).name)) << token;
+  }
+  EXPECT_THROW(parse_algorithm("nosuch"), InvalidInput);
+  EXPECT_THROW(parse_algorithm(""), InvalidInput);
 }
 
 TEST(Experiment, StandardAlgorithmsExcludeBf) {
@@ -63,6 +82,23 @@ TEST(Experiment, BfPlacementWithinBudget) {
   EXPECT_EQ(p.size(), inst.service_count());
   // Tiny budget forces a refusal.
   EXPECT_THROW(compute_placement(inst, Algorithm::BF, rng, 0),
+               InvalidInput);
+}
+
+TEST(Experiment, BfAtK2IsTheExactOptimumWithinItsBudget) {
+  Rng instance_rng(5);
+  const ProblemInstance tiny =
+      testing::random_instance(9, 14, 2, 2, 1.0, instance_rng);
+  Rng rng(1);
+  EXPECT_EQ(compute_placement(tiny, Algorithm::BF, rng, 50'000'000, 2),
+            brute_force_objective(tiny, ObjectiveKind::Distinguishability, 2)
+                .placement);
+
+  // Abovenet at alpha = 0.6: 259,200 placements x |F_2| = 254 sets is past
+  // the budget, so the search is refused before it starts.
+  const ProblemInstance abovenet =
+      make_instance(topology::catalog_entry("Abovenet"), 0.6);
+  EXPECT_THROW(compute_placement(abovenet, Algorithm::BF, rng, 50'000'000, 2),
                InvalidInput);
 }
 

@@ -43,6 +43,12 @@ TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("x", ""));
 }
 
+TEST(Strings, ToLower) {
+  EXPECT_EQ(to_lower("QoS-AT&T 1"), "qos-at&t 1");
+  EXPECT_EQ(to_lower(""), "");
+  EXPECT_EQ(to_lower("\xC4"), "\xC4");  // ASCII only
+}
+
 TEST(Csv, PlainCells) {
   std::ostringstream oss;
   CsvWriter w(oss);
