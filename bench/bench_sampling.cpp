@@ -1,5 +1,5 @@
 // Extension bench: distinguishability at large failure budgets via
-// Monte-Carlo sampling, where exact |D_k| is unreachable (AT&T at k = 4 has
+// Monte-Carlo sampling, where listing F_k is out of reach (AT&T at k = 4 has
 // |F_k| ≈ 10^7, i.e. ~10^13 pairs).
 //
 // Expected shape: the GD > RD > QoS ordering measured exactly at k = 1

@@ -17,11 +17,15 @@ ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_metrics_text test_path_arena test_kernels test_stochastic \
   test_cascade test_shard test_algorithm_registry test_portfolio \
   test_localization test_sim test_sim_trace test_equivalence \
-  test_objective_gain test_metric_relations test_experiment test_scenario"
+  test_objective_gain test_metric_relations test_experiment test_scenario \
+  test_failure_sets test_identifiability test_distinguishability \
+  test_interest"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio \
-  test_localization test_stream test_sim test_sim_trace"
+  test_localization test_stream test_sim test_sim_trace \
+  test_failure_sets test_identifiability test_distinguishability \
+  test_interest"
 
 require_suites() {
   dir="$1"; shift
@@ -44,7 +48,7 @@ cmake -B build-tsan -G Ninja -DSPLACE_SANITIZE=thread \
 cmake --build build-tsan --target $TSAN_SUITES
 require_suites build-tsan $TSAN_SUITES
 ctest --test-dir build-tsan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|BruteForce"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|BruteForce"
 
 # ASan pass over the serving layer: the engine moves results through
 # futures, a shared LRU cache, and snapshots that share routing trees and
@@ -56,19 +60,23 @@ ctest --test-dir build-tsan --output-on-failure \
 # suites cover the flat partition, whose refinement is index arithmetic over
 # positions, class ids and class ranges. The experiment and scenario suites
 # cover the label table every front door (replay, scenario files, the CLI)
-# resolves algorithm tokens through.
+# resolves algorithm tokens through. The failure-set, identifiability,
+# distinguishability and interest suites cover SignatureGroups: its open
+# addressing over flat signature rows, the class-mask words and the
+# saturating set counts.
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|TraceRecorder|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.
 # The failure-set enumerator's word ORs and combination indexing (batch
-# localizer and streaming ingest) run here too, as does the simulator's
+# localizer and streaming ingest) run here too, as do SignatureGroups'
+# class combinations and saturating 64/128-bit counts, and the simulator's
 # event loop with and without the cascade overlay.
 cmake -B build-ubsan -G Ninja -DSPLACE_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -76,7 +84,7 @@ cmake -B build-ubsan -G Ninja -DSPLACE_SANITIZE=undefined \
 cmake --build build-ubsan --target $UBSAN_SUITES
 require_suites build-ubsan $UBSAN_SUITES
 ctest --test-dir build-ubsan --output-on-failure \
-  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace"
+  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest"
 
 # Scalar-dispatch leg: the same suites with SPLACE_FORCE_SCALAR=1, proving
 # the env override pins the portable kernels and that they stand alone

@@ -1,9 +1,8 @@
 #include "core/metrics_report.hpp"
 
 #include "monitoring/coverage.hpp"
-#include "monitoring/distinguishability.hpp"
 #include "monitoring/equivalence_classes.hpp"
-#include "monitoring/identifiability.hpp"
+#include "monitoring/failure_sets.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -23,9 +22,8 @@ MetricReport evaluate_paths(const PathSet& paths, std::size_t k) {
   const SignatureGroups groups(paths, k);
   MetricReport report;
   report.coverage = coverage(paths);
-  report.identifiability =
-      identifiable_nodes(groups, paths.node_count()).count();
-  report.distinguishability = distinguishability(groups);
+  report.identifiability = groups.identifiable_nodes().count();
+  report.distinguishability = groups.distinguishable_pairs();
   return report;
 }
 

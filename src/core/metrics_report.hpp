@@ -20,7 +20,8 @@ struct MetricReport {
 /// All three k = 1 measures in one pass over an equivalence partition.
 MetricReport evaluate_paths_k1(const PathSet& paths);
 
-/// Exact general-k evaluation (enumeration; small instances).
+/// Exact general-k evaluation: k = 1 takes evaluate_paths_k1, k >= 2 one
+/// SignatureGroups over node signature classes.
 MetricReport evaluate_paths(const PathSet& paths, std::size_t k);
 
 /// Evaluates a placement's measurement paths. At k = 1 this reads the

@@ -208,8 +208,8 @@ class Engine {
   /// Seconds since engine construction.
   double since_start(Clock::time_point at) const;
 
-  /// Engine-level trace counters synthesized from the internal tail
-  /// subscription (TraceRecorder-compatible shape for the metrics export).
+  /// Engine-level trace counters (TraceStats) synthesized from the
+  /// drain_traces() tail subscription for the metrics export.
   TraceStats trace_stats() const;
 
   /// Per-tenant token-bucket / in-flight accounting. Guarded by

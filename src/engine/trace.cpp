@@ -1,9 +1,6 @@
 #include "engine/trace.hpp"
 
-#include <algorithm>
-#include <functional>
 #include <sstream>
-#include <thread>
 
 #include "util/error.hpp"
 
@@ -20,58 +17,6 @@ std::string to_string(Stage stage) {
     case Stage::FutureDelivery: return "future_delivery";
   }
   throw ContractViolation("unknown stage");
-}
-
-TraceRecorder::TraceRecorder(bool enabled, std::size_t capacity)
-    : enabled_(enabled) {
-  if (!enabled_) return;
-  SPLACE_EXPECTS(capacity >= 1);
-  shard_capacity_ = (capacity + kShards - 1) / kShards;
-  for (Shard& shard : shards_) shard.traces.reserve(shard_capacity_);
-}
-
-void TraceRecorder::record(RequestTrace trace) {
-  SPLACE_EXPECTS(enabled_);
-  const std::size_t shard_id =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
-  Shard& shard = shards_[shard_id];
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  if (shard.traces.size() >= shard_capacity_) {
-    dropped_.fetch_add(1);
-    return;
-  }
-  shard.traces.push_back(std::move(trace));
-}
-
-std::vector<RequestTrace> TraceRecorder::drain() {
-  std::vector<RequestTrace> all;
-  if (!enabled_) return all;
-  for (Shard& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    for (RequestTrace& trace : shard.traces) all.push_back(std::move(trace));
-    shard.traces.clear();
-  }
-  std::sort(all.begin(), all.end(),
-            [](const RequestTrace& a, const RequestTrace& b) {
-              return a.id < b.id;
-            });
-  drained_.fetch_add(all.size());
-  return all;
-}
-
-TraceStats TraceRecorder::stats() const {
-  TraceStats stats;
-  stats.enabled = enabled_;
-  stats.dropped = dropped_.load();
-  stats.drained = drained_.load();
-  stats.capacity = enabled_ ? shard_capacity_ * kShards : 0;
-  if (enabled_) {
-    for (const Shard& shard : shards_) {
-      std::unique_lock<std::mutex> lock(shard.mutex);
-      stats.recorded += shard.traces.size();
-    }
-  }
-  return stats;
 }
 
 std::string to_json(const RequestTrace& trace) {

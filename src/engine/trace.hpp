@@ -22,18 +22,16 @@
 // a rejection never computes) stay 0 — every exported trace carries all
 // seven, so a reader never has to guess which stages existed.
 //
-// Recording is lock-cheap: traces land in one of a fixed set of sharded
-// buffers (shard picked by thread id), each with its own mutex, so worker
-// threads almost never contend. Buffers are bounded; overflow drops the
-// newest trace and counts it. drain() moves everything out in trace-id
-// order. Tracing observes — it never reorders execution or changes results.
+// A finished trace is published as a Trace-kind stream event. The engine's
+// drain_traces() tail is a bounded ring subscription on that kind: overflow
+// drops the newest trace and counts it, and a drain hands the buffered
+// traces out in trace-id order. Tracing observes — it never reorders
+// execution or changes results.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -79,51 +77,13 @@ struct RequestTrace {
   double stage(Stage s) const { return stage_seconds[stage_index(s)]; }
 };
 
-/// Counters describing the recorder's own state, exported with the metrics.
+/// Counters describing the trace tail's state, exported with the metrics.
 struct TraceStats {
   bool enabled = false;
   std::uint64_t recorded = 0;  ///< traces currently buffered
-  std::uint64_t drained = 0;   ///< traces handed out by drain() so far
+  std::uint64_t drained = 0;   ///< traces handed out by drain_traces() so far
   std::uint64_t dropped = 0;   ///< traces lost to buffer overflow
   std::size_t capacity = 0;    ///< total buffered-trace bound
-};
-
-/// Sharded, bounded trace sink. All methods are thread-safe; record() takes
-/// exactly one uncontended-in-practice mutex. A disabled recorder never
-/// allocates and record() is never called on it (callers gate on enabled()).
-class TraceRecorder {
- public:
-  /// `capacity` bounds the number of buffered traces across all shards
-  /// (rounded up to a multiple of the shard count). Ignored when disabled.
-  TraceRecorder(bool enabled, std::size_t capacity);
-
-  bool enabled() const { return enabled_; }
-
-  /// Next trace id (atomic; ids are unique per recorder).
-  std::uint64_t next_id() { return next_id_.fetch_add(1) + 1; }
-
-  /// Buffers one finished trace; drops it (counted) when the shard is full.
-  void record(RequestTrace trace);
-
-  /// Moves every buffered trace out, sorted by ascending id.
-  std::vector<RequestTrace> drain();
-
-  TraceStats stats() const;
-
- private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<RequestTrace> traces;
-  };
-
-  bool enabled_;
-  std::size_t shard_capacity_ = 0;
-  std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> drained_{0};
-  std::array<Shard, kShards> shards_;
 };
 
 /// Deterministic-key-order JSON for one trace / a drained trace list. Every

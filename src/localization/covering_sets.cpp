@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 
+#include "monitoring/failure_sets.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -20,35 +21,6 @@ std::size_t saturating_add(std::size_t a, std::size_t b) {
 
 std::size_t saturating_mul(std::size_t a, std::size_t b) {
   return b != 0 && a > kSaturated / b ? kSaturated : a * b;
-}
-
-/// c · num / den, saturating, where den divides c · num. With g =
-/// gcd(c, den), den / g is coprime to c / g and so divides num.
-std::size_t scale(std::size_t c, std::size_t num, std::size_t den) {
-  const std::size_t g = std::gcd(c, den);
-  return saturating_mul(c / g, num / (den / g));
-}
-
-/// C(n, m), saturating. The walk C(n - m + j, j), j = 1..m never
-/// decreases, so it may stop at the first saturated step.
-std::size_t choose(std::size_t n, std::size_t m) {
-  if (m > n) return 0;
-  m = std::min(m, n - m);
-  std::size_t c = 1;
-  for (std::size_t j = 1; j <= m && c != kSaturated; ++j)
-    c = scale(c, n - m + j, j);
-  return c;
-}
-
-/// Σ_{j ≤ m} C(n, j), saturating: the subsets of at most m of n nodes.
-std::size_t subsets_upto(std::size_t n, std::size_t m) {
-  std::size_t sum = 1;
-  std::size_t c = 1;  // C(n, j - 1), exact while sum is
-  for (std::size_t j = 1; j <= std::min(m, n) && sum != kSaturated; ++j) {
-    c = scale(c, n - j + 1, j);
-    sum = saturating_add(sum, c);
-  }
-  return sum;
 }
 
 /// Table slots for n nodes: a power of two of at least 4n, so the live
@@ -260,7 +232,8 @@ void CoveringClasses::search(std::size_t first, std::size_t depth,
     if (counting_) {
       // Every extension covers too: any j <= left of the members left.
       total_ = saturating_add(
-          total_, saturating_mul(ways, subsets_upto(remaining_[first], left)));
+          total_,
+          saturating_mul(ways, failure_set_count(remaining_[first], left)));
       return;
     }
     expand(0, 0);
@@ -281,7 +254,7 @@ void CoveringClasses::search(std::size_t first, std::size_t depth,
     for (std::size_t picks = 1; picks <= most; ++picks) {
       slots_.push_back(i);
       search(i + 1, depth + 1, left - picks,
-             counting_ ? saturating_mul(ways, choose(size, picks)) : 0);
+             counting_ ? saturating_mul(ways, binomial(size, picks)) : 0);
     }
     slots_.resize(slots_.size() - most);
   }

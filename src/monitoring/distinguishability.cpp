@@ -2,34 +2,19 @@
 
 namespace splace {
 
-std::size_t distinguishability(const SignatureGroups& groups) {
-  const std::size_t total = groups.total_sets();
-  std::size_t pairs = total * (total - 1) / 2;
-  for (std::size_t g = 0; g < groups.group_count(); ++g) {
-    const std::size_t size = groups.group(g).size();
-    pairs -= size * (size - 1) / 2;
-  }
-  return pairs;
-}
-
 std::size_t distinguishability(const PathSet& paths, std::size_t k) {
-  return distinguishability(SignatureGroups(paths, k));
+  return SignatureGroups(paths, k).distinguishable_pairs();
 }
 
 std::size_t uncertainty_of(const PathSet& paths, std::size_t k,
                            const std::vector<NodeId>& failure_set) {
-  return SignatureGroups(paths, k).indistinguishable_count(paths, failure_set);
+  return SignatureGroups(paths, k).group_size(failure_set) - 1;
 }
 
 double average_uncertainty(const PathSet& paths, std::size_t k) {
-  const SignatureGroups groups(paths, k);
   // Every member of a group of size m has m-1 indistinguishable peers.
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < groups.group_count(); ++g) {
-    const std::size_t size = groups.group(g).size();
-    total += size * (size - 1);
-  }
-  return static_cast<double>(total) /
+  const SignatureGroups groups(paths, k);
+  return static_cast<double>(groups.ordered_pairs()) /
          static_cast<double>(groups.total_sets());
 }
 
@@ -37,7 +22,7 @@ double lemma3_closed_form(const PathSet& paths, std::size_t k) {
   const SignatureGroups groups(paths, k);
   const auto total = static_cast<double>(groups.total_sets());
   const double all_pairs = total * (total - 1) / 2;
-  const auto dk = static_cast<double>(distinguishability(groups));
+  const auto dk = static_cast<double>(groups.distinguishable_pairs());
   return 2.0 / total * (all_pairs - dk);
 }
 

@@ -2,7 +2,8 @@
 // localization-uncertainty quantities of Lemma 3.
 //
 // |D_k(P)| counts unordered pairs of failure sets in F_k whose observable
-// path-state signatures differ. Exact computation groups F_k by signature:
+// path-state signatures differ. Exact computation groups F_k by signature
+// (SignatureGroups, over node signature classes):
 // |D_k| = C(|F_k|, 2) − Σ_group C(|group|, 2). For k = 1 prefer
 // EquivalenceClasses::distinguishable_pairs(), which is equivalent and
 // incremental.
@@ -15,14 +16,12 @@
 
 namespace splace {
 
-/// Exact |D_k(P)| via failure-set enumeration (cost O(|F_k| · |P|)).
+/// Exact |D_k(P)|. Each of these builds one SignatureGroups, whose cost
+/// follows the combinations of at most k node signature classes, not |F_k|.
 std::size_t distinguishability(const PathSet& paths, std::size_t k);
 
-/// Exact |D_k(P)| reusing precomputed signature groups.
-std::size_t distinguishability(const SignatureGroups& groups);
-
 /// |I_k(F; P)|: # failure sets of size ≤ k, other than F, indistinguishable
-/// from F.
+/// from F. Requires |F| ≤ k and valid node ids.
 std::size_t uncertainty_of(const PathSet& paths, std::size_t k,
                            const std::vector<NodeId>& failure_set);
 

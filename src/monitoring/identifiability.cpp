@@ -6,40 +6,8 @@
 
 namespace splace {
 
-DynamicBitset identifiable_nodes(const SignatureGroups& groups,
-                                 std::size_t node_count) {
-  // v is NOT k-identifiable iff some signature group holds both a failure
-  // set containing v and one excluding v. Within a group of size m, that is
-  // "v occurs in between 1 and m-1 member sets".
-  DynamicBitset identifiable(node_count);
-  for (NodeId v = 0; v < node_count; ++v) identifiable.set(v);
-
-  std::vector<std::size_t> occurrences(node_count, 0);
-  for (std::size_t g = 0; g < groups.group_count(); ++g) {
-    const auto& members = groups.group(g);
-    if (members.size() < 2) continue;
-    std::vector<NodeId> touched;
-    for (const std::vector<NodeId>& f : members) {
-      for (NodeId v : f) {
-        if (occurrences[v] == 0) touched.push_back(v);
-        ++occurrences[v];
-      }
-    }
-    for (NodeId v : touched) {
-      if (occurrences[v] < members.size()) identifiable.reset(v);
-      occurrences[v] = 0;
-    }
-  }
-
-  // A node traversed by no path at all is indistinguishable from the empty
-  // failure set ({v} and ∅ share the all-normal signature); the grouping
-  // above already handles this because both land in the same group. Nothing
-  // more to do.
-  return identifiable;
-}
-
 DynamicBitset identifiable_nodes(const PathSet& paths, std::size_t k) {
-  return identifiable_nodes(SignatureGroups(paths, k), paths.node_count());
+  return SignatureGroups(paths, k).identifiable_nodes();
 }
 
 std::size_t identifiability(const PathSet& paths, std::size_t k) {
@@ -73,11 +41,7 @@ bool is_k_identifiable(NodeId v, const PathSet& paths, std::size_t k) {
 
 std::size_t non_identifiable_failure_sets(const PathSet& paths,
                                           std::size_t k) {
-  const SignatureGroups groups(paths, k);
-  std::size_t count = 0;
-  for (std::size_t g = 0; g < groups.group_count(); ++g)
-    if (groups.group(g).size() > 1) count += groups.group(g).size();
-  return count;
+  return SignatureGroups(paths, k).shared_sets();
 }
 
 }  // namespace splace

@@ -3,9 +3,11 @@
 // A node v is k-identifiable iff every two failure sets of size ≤ k that
 // differ in v are distinguishable — then v's state can always be determined
 // as long as at most k nodes fail. Exact computation groups F_k by signature
-// and looks for a "conflict" group containing both a set with v and a set
-// without v. Scalable surrogates live in set_cover.hpp (GSC bounds); the
-// k = 1 fast path lives in equivalence_classes.hpp.
+// over node signature classes (SignatureGroups) and looks for a "conflict"
+// group holding both a set with v and a set without v: v must be alone in
+// its class, and no group may mix class combinations with and without it.
+// Scalable surrogates live in set_cover.hpp (GSC bounds); the k = 1 fast
+// path lives in equivalence_classes.hpp.
 #pragma once
 
 #include <cstddef>
@@ -17,15 +19,12 @@
 
 namespace splace {
 
-/// Exact set S_k(P) via failure-set enumeration (cost O(|F_k| (k + |P|))).
+/// Exact set S_k(P) from one SignatureGroups (cost follows the combinations
+/// of at most k node signature classes, not |F_k|).
 DynamicBitset identifiable_nodes(const PathSet& paths, std::size_t k);
 
 /// Exact |S_k(P)|.
 std::size_t identifiability(const PathSet& paths, std::size_t k);
-
-/// Exact S_k reusing precomputed signature groups.
-DynamicBitset identifiable_nodes(const SignatureGroups& groups,
-                                 std::size_t node_count);
 
 /// Single-node check straight from Definition 2 (quadratic in |F_k|; used by
 /// tests as an independent oracle).

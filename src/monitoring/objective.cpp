@@ -1,10 +1,10 @@
 #include "monitoring/objective.hpp"
 
+#include <optional>
+
 #include "monitoring/coverage.hpp"
-#include "monitoring/distinguishability.hpp"
 #include "monitoring/equivalence_classes.hpp"
-#include "monitoring/failure_partition.hpp"
-#include "monitoring/identifiability.hpp"
+#include "monitoring/failure_sets.hpp"
 #include "monitoring/kernels.hpp"
 #include "util/error.hpp"
 
@@ -128,30 +128,47 @@ class EquivalenceState final : public ObjectiveState {
   }
 };
 
-/// General-k exact state on the incremental failure-set partition
-/// (O(|F_k|) per added path instead of full re-enumeration per evaluation).
-class EnumerationState final : public ObjectiveState {
+/// General-k exact state: the added paths, regrouped on value(). The
+/// committed value is cached until a path is added; clones carry the cache,
+/// so a gain (clone + add + value) regroups once, on the clone.
+class SignatureState final : public ObjectiveState {
  public:
-  EnumerationState(std::size_t node_count, ObjectiveKind kind, std::size_t k)
-      : kind_(kind), partition_(node_count, k) {}
+  SignatureState(std::size_t node_count, ObjectiveKind kind, std::size_t k,
+                 const DynamicBitset* interest)
+      : kind_(kind), k_(k), paths_(node_count) {
+    if (interest) interest_ = *interest;
+  }
 
   std::unique_ptr<ObjectiveState> clone() const override {
-    return std::make_unique<EnumerationState>(*this);
+    return std::make_unique<SignatureState>(*this);
   }
 
   void add_path(const MeasurementPath& path) override {
-    partition_.add_path(path);
+    if (paths_.add(path)) value_.reset();
   }
 
   double value() const override {
-    return kind_ == ObjectiveKind::Identifiability
-               ? static_cast<double>(partition_.identifiability())
-               : static_cast<double>(partition_.distinguishability());
+    if (value_) return *value_;
+    const DynamicBitset* interest = interest_ ? &*interest_ : nullptr;
+    const SignatureGroups groups(paths_, k_, interest);
+    std::size_t count;
+    if (kind_ == ObjectiveKind::Identifiability) {
+      const DynamicBitset sk = groups.identifiable_nodes();
+      count = interest ? sk.intersection_count(*interest) : sk.count();
+    } else {
+      count = interest ? groups.interest_pairs()
+                       : groups.distinguishable_pairs();
+    }
+    value_ = static_cast<double>(count);
+    return *value_;
   }
 
  private:
   ObjectiveKind kind_;
-  FailureSetPartition partition_;
+  std::size_t k_;
+  PathSet paths_;
+  std::optional<DynamicBitset> interest_;
+  mutable std::optional<double> value_;
 };
 
 }  // namespace
@@ -166,9 +183,17 @@ std::unique_ptr<ObjectiveState> make_objective_state(ObjectiveKind kind,
     case ObjectiveKind::Identifiability:
     case ObjectiveKind::Distinguishability:
       if (k == 1) return std::make_unique<EquivalenceState>(node_count, kind);
-      return std::make_unique<EnumerationState>(node_count, kind, k);
+      return make_signature_state(kind, node_count, k);
   }
   throw ContractViolation("unknown objective kind");
+}
+
+std::unique_ptr<ObjectiveState> make_signature_state(
+    ObjectiveKind kind, std::size_t node_count, std::size_t k,
+    const DynamicBitset* interest) {
+  SPLACE_EXPECTS(k >= 2 && kind != ObjectiveKind::Coverage);
+  SPLACE_EXPECTS(!interest || interest->size() == node_count);
+  return std::make_unique<SignatureState>(node_count, kind, k, interest);
 }
 
 double evaluate_objective(ObjectiveKind kind, const PathSet& paths,

@@ -13,8 +13,10 @@
 //   Distinguishability  |D_k(P)|                     (monotone submodular)
 //
 // For k = 1 the identifiability/distinguishability states run on
-// EquivalenceClasses (incremental); for k > 1 they re-derive from a stored
-// PathSet via exact enumeration (use on small instances only).
+// EquivalenceClasses (incremental); for k > 1 they keep the added paths and
+// regroup F_k over node signature classes (SignatureGroups) on value(),
+// caching the result until a path is added. Their gains take the generic
+// clone-based path.
 //
 // Placement loops commit their picks through add_paths(ArenaPathsRef):
 // coverage ORs the set's precomputed union row, k = 1 refines the flat
@@ -93,6 +95,15 @@ class ObjectiveState {
 std::unique_ptr<ObjectiveState> make_objective_state(ObjectiveKind kind,
                                                      std::size_t node_count,
                                                      std::size_t k = 1);
+
+/// The k >= 2 identifiability/distinguishability state that
+/// make_objective_state returns, restricted to the nodes of interest N_I
+/// when `interest` is given: |S_k ∩ N_I|, or the distinguishable pairs with
+/// at least one failure set meeting N_I. `interest` must span the node
+/// universe. Requires k >= 2 and a non-coverage kind.
+std::unique_ptr<ObjectiveState> make_signature_state(
+    ObjectiveKind kind, std::size_t node_count, std::size_t k,
+    const DynamicBitset* interest = nullptr);
 
 /// One-shot evaluation of an objective over a complete path set.
 double evaluate_objective(ObjectiveKind kind, const PathSet& paths,

@@ -9,13 +9,6 @@ namespace splace {
 
 namespace {
 std::size_t pairs_of(std::size_t n) { return n * (n - 1) / 2; }
-
-bool is_interest_set(const std::vector<NodeId>& failure_set,
-                     const DynamicBitset& interest) {
-  for (NodeId v : failure_set)
-    if (interest.test(v)) return true;
-  return false;
-}
 }  // namespace
 
 std::size_t interest_coverage(const PathSet& paths,
@@ -33,25 +26,7 @@ std::size_t interest_identifiability(const PathSet& paths, std::size_t k,
 std::size_t interest_distinguishability(const PathSet& paths, std::size_t k,
                                         const DynamicBitset& interest) {
   SPLACE_EXPECTS(interest.size() == paths.node_count());
-  const SignatureGroups groups(paths, k);
-  // Pairs with ≥1 interest member = C(T,2) − C(T−I,2); subtract the
-  // indistinguishable such pairs group by group.
-  std::size_t total_interest = 0;
-  for_each_failure_set(paths.node_count(), k,
-                       [&](const std::vector<NodeId>& f) {
-                         if (is_interest_set(f, interest)) ++total_interest;
-                       });
-  const std::size_t total = groups.total_sets();
-  std::size_t result = pairs_of(total) - pairs_of(total - total_interest);
-  for (std::size_t g = 0; g < groups.group_count(); ++g) {
-    const auto& members = groups.group(g);
-    std::size_t interest_members = 0;
-    for (const auto& f : members)
-      if (is_interest_set(f, interest)) ++interest_members;
-    result -= pairs_of(members.size()) -
-              pairs_of(members.size() - interest_members);
-  }
-  return result;
+  return SignatureGroups(paths, k, &interest).interest_pairs();
 }
 
 std::size_t interest_identifiability_k1(const EquivalenceClasses& classes,
@@ -140,33 +115,6 @@ class InterestEquivalenceState final : public ObjectiveState {
   DynamicBitset interest_;
 };
 
-class InterestEnumerationState final : public ObjectiveState {
- public:
-  InterestEnumerationState(std::size_t node_count, ObjectiveKind kind,
-                           std::size_t k, DynamicBitset interest)
-      : kind_(kind), k_(k), paths_(node_count), interest_(std::move(interest)) {}
-
-  std::unique_ptr<ObjectiveState> clone() const override {
-    return std::make_unique<InterestEnumerationState>(*this);
-  }
-
-  void add_path(const MeasurementPath& path) override { paths_.add(path); }
-
-  double value() const override {
-    return kind_ == ObjectiveKind::Identifiability
-               ? static_cast<double>(
-                     interest_identifiability(paths_, k_, interest_))
-               : static_cast<double>(
-                     interest_distinguishability(paths_, k_, interest_));
-  }
-
- private:
-  ObjectiveKind kind_;
-  std::size_t k_;
-  PathSet paths_;
-  DynamicBitset interest_;
-};
-
 }  // namespace
 
 std::unique_ptr<ObjectiveState> make_interest_objective_state(
@@ -183,8 +131,7 @@ std::unique_ptr<ObjectiveState> make_interest_objective_state(
       if (k == 1)
         return std::make_unique<InterestEquivalenceState>(node_count, kind,
                                                           std::move(interest));
-      return std::make_unique<InterestEnumerationState>(node_count, kind, k,
-                                                        std::move(interest));
+      return make_signature_state(kind, node_count, k, &interest);
   }
   throw ContractViolation("unknown objective kind");
 }

@@ -24,12 +24,12 @@ namespace splace {
 std::size_t interest_coverage(const PathSet& paths,
                               const DynamicBitset& interest);
 
-/// |S_k(P) ∩ N_I| (exact enumeration; small instances).
+/// |S_k(P) ∩ N_I| (exact, from one SignatureGroups).
 std::size_t interest_identifiability(const PathSet& paths, std::size_t k,
                                      const DynamicBitset& interest);
 
-/// # distinguishable unordered pairs with ≥1 member of interest (exact
-/// enumeration; small instances).
+/// # distinguishable unordered pairs with ≥1 member of interest (exact, from
+/// one SignatureGroups counting each group's sets of interest).
 std::size_t interest_distinguishability(const PathSet& paths, std::size_t k,
                                         const DynamicBitset& interest);
 

@@ -1,12 +1,10 @@
 #include "portfolio/mis.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "monitoring/failure_sets.hpp"
-#include "monitoring/identifiability.hpp"
 #include "monitoring/path_arena.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
@@ -15,90 +13,17 @@ namespace splace::portfolio {
 
 namespace {
 
-/// One certified level (failure bound k): which nodes are k-identifiable
-/// and whether every F ∈ F_k has a unique signature.
-struct Level {
-  std::vector<bool> identifiable;
-  bool all_unique = false;
-  std::size_t enumerated = 0;
-};
-
-/// Fast level: per-node signatures fit one 64-bit word (≤ 64 paths), so a
-/// failure set's signature is a single OR-fold and grouping is an
-/// unordered_map over uint64. Per signature group we keep the union and
-/// intersection of member node-masks: node v is k-identifiable iff no group
-/// has a member with v and a member without v (any & ~all empty at v) —
-/// Definition 2 verbatim.
-Level enumerate_level_u64(const std::vector<std::uint64_t>& node_sig,
-                          std::size_t node_count, std::size_t k) {
-  struct Group {
-    std::vector<std::uint64_t> any;  ///< nodes in ≥1 member failure set
-    std::vector<std::uint64_t> all;  ///< nodes in every member failure set
-    std::size_t members = 0;
-  };
-  const std::size_t words = (node_count + 63) / 64;
-  std::unordered_map<std::uint64_t, Group> groups;
-  std::vector<std::uint64_t> scratch(words, 0);
-
-  for_each_failure_set(
-      node_count, k, [&](const std::vector<NodeId>& failure_set) {
-        std::uint64_t sig = 0;
-        for (const NodeId v : failure_set) {
-          sig |= node_sig[v];
-          scratch[v >> 6] |= std::uint64_t{1} << (v & 63);
-        }
-        Group& g = groups[sig];
-        if (g.members == 0) {
-          g.any = scratch;
-          g.all = scratch;
-        } else {
-          for (std::size_t w = 0; w < words; ++w) {
-            g.any[w] |= scratch[w];
-            g.all[w] &= scratch[w];
-          }
-        }
-        ++g.members;
-        for (const NodeId v : failure_set)
-          scratch[v >> 6] = 0;
-      });
-
-  Level level;
-  level.all_unique = true;
-  std::vector<std::uint64_t> conflict(words, 0);
-  for (const auto& [sig, g] : groups) {
-    if (g.members > 1) level.all_unique = false;
-    level.enumerated += g.members;
-    for (std::size_t w = 0; w < words; ++w)
-      conflict[w] |= g.any[w] & ~g.all[w];
-  }
-  level.identifiable.assign(node_count, false);
-  for (std::size_t v = 0; v < node_count; ++v)
-    level.identifiable[v] =
-        (conflict[v >> 6] & (std::uint64_t{1} << (v & 63))) == 0;
-  return level;
-}
-
-/// Generic level over the SignatureGroups machinery (any path count).
-Level enumerate_level_generic(const PathSet& paths, std::size_t k) {
-  const SignatureGroups groups(paths, k);
-  const DynamicBitset sk = identifiable_nodes(groups, paths.node_count());
-  Level level;
-  level.identifiable.assign(paths.node_count(), false);
-  for (std::size_t v = 0; v < paths.node_count(); ++v)
-    level.identifiable[v] = sk.test(v);
-  level.all_unique = groups.group_count() == groups.total_sets();
-  level.enumerated = groups.total_sets();
-  return level;
-}
-
-/// Shared level-by-level driver; `enumerate(k)` produces one level.
-template <typename EnumerateLevel>
-MisCertificate certify(std::size_t node_count, std::size_t path_count,
-                       std::size_t k_max, std::size_t budget,
-                       EnumerateLevel&& enumerate) {
+/// Certifies levels k = 1..k_max over per-node incidence rows, one
+/// SignatureGroups per level: node v's capability rises to k while v is
+/// k-identifiable, and a level is unique iff every F ∈ F_k has its own
+/// group.
+MisCertificate certify(const std::vector<DynamicBitset>& incidence,
+                       std::size_t path_count, std::size_t k_max,
+                       std::size_t budget) {
   if (k_max < 1)
     throw InvalidInput("mis_certificate: k_max must be >= 1, got " +
                        std::to_string(k_max));
+  const std::size_t node_count = incidence.size();
   MisCertificate certificate;
   certificate.path_count = path_count;
   certificate.capability.assign(node_count, 0);
@@ -108,16 +33,15 @@ MisCertificate certify(std::size_t node_count, std::size_t path_count,
       certificate.truncated = true;
       break;
     }
-    const Level level = enumerate(k);
+    const SignatureGroups groups(incidence, path_count, k);
+    const DynamicBitset identifiable = groups.identifiable_nodes();
     certificate.k_max = k;
-    certificate.enumerated_sets += level.enumerated;
-    for (std::size_t v = 0; v < node_count; ++v)
-      if (level.identifiable[v]) certificate.capability[v] = k;
-    if (k == 1)
-      for (std::size_t v = 0; v < node_count; ++v)
-        certificate.identifiable_1 +=
-            static_cast<std::size_t>(level.identifiable[v]);
-    if (unique_chain && level.all_unique)
+    certificate.enumerated_sets += groups.total_sets();
+    identifiable.for_each([&](std::size_t v) {
+      certificate.capability[v] = k;
+    });
+    if (k == 1) certificate.identifiable_1 = identifiable.count();
+    if (unique_chain && groups.group_count() == groups.total_sets())
       certificate.max_identifiable_failures = k;
     else
       unique_chain = false;
@@ -129,10 +53,7 @@ MisCertificate certify(std::size_t node_count, std::size_t path_count,
 
 MisCertificate mis_certificate(const PathSet& paths, std::size_t k_max,
                                std::size_t budget) {
-  return certify(paths.node_count(), paths.size(), k_max, budget,
-                 [&paths](std::size_t k) {
-                   return enumerate_level_generic(paths, k);
-                 });
+  return certify(paths.node_incidence(), paths.size(), k_max, budget);
 }
 
 MisCertificate mis_certificate(const ProblemInstance& instance,
@@ -149,53 +70,25 @@ MisCertificate mis_certificate(const ProblemInstance& instance,
   // are interned by node set, so row-id identity *is* path equality and the
   // resulting order matches paths_for_placement exactly.
   std::vector<std::uint32_t> global_rows;
-  std::unordered_map<std::uint32_t, std::size_t> index_of;
-  std::vector<std::uint32_t> sets(placement.size());
+  std::unordered_set<std::uint32_t> seen;
   for (std::size_t s = 0; s < placement.size(); ++s) {
     if (!instance.is_candidate(s, placement[s]))
       throw InvalidInput("mis_certificate: host " +
                          std::to_string(placement[s]) +
                          " is not a candidate for service " +
                          std::to_string(s));
-    sets[s] = instance.arena_paths_for(s, placement[s]).set;
-    const std::uint32_t* rows = arena.set_rows(sets[s]);
-    const std::size_t size = arena.set_size(sets[s]);
-    for (std::size_t i = 0; i < size; ++i)
-      if (index_of.emplace(rows[i], global_rows.size()).second)
-        global_rows.push_back(rows[i]);
-  }
-
-  if (global_rows.size() > 64) {
-    // No 64-bit signature; take the generic representation.
-    const PathSet paths = instance.paths_for_placement(placement);
-    return mis_certificate(paths, k_max, budget);
-  }
-
-  // Fold every per-set signature plane into global per-node signatures:
-  // bit j of set_sig_values is local row j of that set; remap to the
-  // global dedup index.
-  const std::size_t node_count = instance.node_count();
-  std::vector<std::uint64_t> node_sig(node_count, 0);
-  for (const std::uint32_t set : sets) {
+    const std::uint32_t set = instance.arena_paths_for(s, placement[s]).set;
     const std::uint32_t* rows = arena.set_rows(set);
-    const std::size_t sig_count = arena.set_sig_count(set);
-    const std::uint32_t* sig_nodes = arena.set_sig_nodes(set);
-    const std::uint64_t* sig_values = arena.set_sig_values(set);
-    for (std::size_t j = 0; j < sig_count; ++j) {
-      std::uint64_t value = sig_values[j];
-      while (value != 0) {
-        const int local = std::countr_zero(value);
-        value &= value - 1;
-        node_sig[sig_nodes[j]] |= std::uint64_t{1}
-                                  << index_of.at(rows[local]);
-      }
-    }
+    for (std::size_t i = 0; i < arena.set_size(set); ++i)
+      if (seen.insert(rows[i]).second) global_rows.push_back(rows[i]);
   }
 
-  return certify(node_count, global_rows.size(), k_max, budget,
-                 [&node_sig, node_count](std::size_t k) {
-                   return enumerate_level_u64(node_sig, node_count, k);
-                 });
+  // incidence[v] bit i: deduplicated row i covers node v.
+  std::vector<DynamicBitset> incidence(instance.node_count(),
+                                       DynamicBitset(global_rows.size()));
+  for (std::size_t i = 0; i < global_rows.size(); ++i)
+    for (const NodeId v : arena.row_nodes(global_rows[i])) incidence[v].set(i);
+  return certify(incidence, global_rows.size(), k_max, budget);
 }
 
 }  // namespace splace::portfolio

@@ -18,13 +18,12 @@
 // (monitoring/identifiability.hpp) and against observed localize() runs in
 // tests/test_portfolio.cpp and bench_portfolio.
 //
-// Computation enumerates F_k level by level under an explicit budget. When
-// the placement's deduplicated path set fits 64 paths, per-node
-// path-incidence signatures come straight from the path arena's signature
-// plane (PathArena::set_sig_*) and each failure set folds to one 64-bit OR —
-// the same representation the split kernels consume. Larger path sets fall
-// back to the generic SignatureGroups machinery, bit-identical by
-// construction.
+// Computation runs level by level under an explicit budget on |F_k|. Each
+// level is one SignatureGroups over per-node incidence rows: F_k grouped
+// over node signature classes, without listing a set. The placement
+// overload builds those rows from the placement's deduplicated arena rows,
+// with no PathSet materialized; both overloads share the one level
+// computation, so they agree by construction.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +50,7 @@ struct MisCertificate {
   /// single failures are confusable. localize() is guaranteed unique for
   /// every true failure set of size ≤ this bound.
   std::size_t max_identifiable_failures = 0;
-  /// Total failure sets enumerated across the certified levels.
+  /// Total failure sets |F_k| summed across the certified levels.
   std::size_t enumerated_sets = 0;
 };
 
@@ -62,10 +61,9 @@ struct MisCertificate {
 MisCertificate mis_certificate(const PathSet& paths, std::size_t k_max,
                                std::size_t budget = 500'000);
 
-/// Certificate of a placement's measurement paths. Uses the arena signature
-/// plane (64-bit signatures, no PathSet materialization) when the
-/// deduplicated path set fits 64 paths; bit-identical to the generic
-/// overload either way. Requires placement[s] ∈ H_s for every service.
+/// Certificate of a placement's measurement paths, read from the arena rows
+/// (no PathSet materialization); equal to the generic overload on
+/// paths_for_placement. Requires placement[s] ∈ H_s for every service.
 MisCertificate mis_certificate(const ProblemInstance& instance,
                                const Placement& placement, std::size_t k_max,
                                std::size_t budget = 500'000);

@@ -9,10 +9,10 @@
 //     shared_ptr<const StreamEvent>; the event payload is allocated once
 //     per publish and shared across subscribers.
 //   - Backpressure never blocks the publisher. A full ring drops and
-//     counts: DropNew keeps the oldest buffered events (the
-//     TraceRecorder-compatible policy drain_traces() relies on), DropOld
-//     evicts the oldest to admit the newest (live dashboards that want
-//     "most recent" over "first seen").
+//     counts: DropNew keeps the oldest buffered events (the policy of the
+//     engine's drain_traces() tail), DropOld evicts the oldest to admit
+//     the newest (live dashboards that want "most recent" over "first
+//     seen").
 //   - Callback sinks run synchronously on the publishing thread, outside
 //     the bus lock. They must be fast; exceptions are swallowed and
 //     counted in BusStats::callback_errors.

@@ -105,7 +105,8 @@ TEST(Determinism, ParallelSearchMatchesItselfUnderDifferentPoolSizes) {
 TEST(Determinism, ParallelGreedyMatchesSequentialAcrossThreadCounts) {
   // The parallel arg-max must be bit-identical to the sequential scan:
   // same placement, same commit order, same objective value — for every
-  // objective, seed, and worker count.
+  // objective, seed, failure bound, and worker count. At k = 2 each worker
+  // chunk regroups on its own state clone, value cache included.
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Rng rng(seed);
     const ProblemInstance inst =
@@ -113,15 +114,18 @@ TEST(Determinism, ParallelGreedyMatchesSequentialAcrossThreadCounts) {
     for (ObjectiveKind kind :
          {ObjectiveKind::Coverage, ObjectiveKind::Identifiability,
           ObjectiveKind::Distinguishability}) {
-      const GreedyResult sequential = greedy_placement(inst, kind, 1);
-      for (std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                  std::size_t{7}}) {
-        const GreedyResult parallel =
-            greedy_placement(inst, kind, 1, PlacementOptions{threads});
-        EXPECT_EQ(parallel.placement, sequential.placement)
-            << to_string(kind) << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(parallel.order, sequential.order);
-        EXPECT_EQ(parallel.objective_value, sequential.objective_value);
+      for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+        const GreedyResult sequential = greedy_placement(inst, kind, k);
+        for (std::size_t threads : {std::size_t{2}, std::size_t{4},
+                                    std::size_t{7}}) {
+          const GreedyResult parallel =
+              greedy_placement(inst, kind, k, PlacementOptions{threads});
+          EXPECT_EQ(parallel.placement, sequential.placement)
+              << to_string(kind) << " seed=" << seed << " k=" << k
+              << " threads=" << threads;
+          EXPECT_EQ(parallel.order, sequential.order);
+          EXPECT_EQ(parallel.objective_value, sequential.objective_value);
+        }
       }
     }
   }
@@ -137,14 +141,18 @@ TEST(Determinism, ParallelLazyGreedyMatchesSequentialAcrossThreadCounts) {
     for (ObjectiveKind kind :
          {ObjectiveKind::Coverage, ObjectiveKind::Identifiability,
           ObjectiveKind::Distinguishability}) {
-      const LazyGreedyResult sequential = lazy_greedy_placement(inst, kind, 1);
-      for (std::size_t threads : {std::size_t{2}, std::size_t{5}}) {
-        const LazyGreedyResult parallel =
-            lazy_greedy_placement(inst, kind, 1, PlacementOptions{threads});
-        EXPECT_EQ(parallel.placement, sequential.placement)
-            << to_string(kind) << " seed=" << seed << " threads=" << threads;
-        EXPECT_EQ(parallel.order, sequential.order);
-        EXPECT_EQ(parallel.objective_value, sequential.objective_value);
+      for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+        const LazyGreedyResult sequential =
+            lazy_greedy_placement(inst, kind, k);
+        for (std::size_t threads : {std::size_t{2}, std::size_t{5}}) {
+          const LazyGreedyResult parallel =
+              lazy_greedy_placement(inst, kind, k, PlacementOptions{threads});
+          EXPECT_EQ(parallel.placement, sequential.placement)
+              << to_string(kind) << " seed=" << seed << " k=" << k
+              << " threads=" << threads;
+          EXPECT_EQ(parallel.order, sequential.order);
+          EXPECT_EQ(parallel.objective_value, sequential.objective_value);
+        }
       }
     }
   }

@@ -1,7 +1,6 @@
 // Tests for the request-lifecycle tracing layer and the adaptive cache
-// capacity controller: TraceRecorder semantics (ids, ordering, bounded
-// buffers), per-request stage spans through the engine, greedy round
-// profiling, EngineConfig validation, per-type eviction accounting, the
+// capacity controller: per-request stage spans through the engine, greedy
+// round profiling, EngineConfig validation, per-type eviction accounting, the
 // adaptive controller's window/hysteresis policy, and — critically — that
 // neither tracing nor adaptation ever changes a response payload.
 #include "engine/trace.hpp"
@@ -48,45 +47,6 @@ struct Fixture {
     return request;
   }
 };
-
-TEST(TraceRecorder, IdsAreUniqueAndDrainSortsByThem) {
-  TraceRecorder recorder(true, 64);
-  EXPECT_TRUE(recorder.enabled());
-  // Record out of order; drain must return ascending ids.
-  for (const std::uint64_t id : {3u, 1u, 2u}) {
-    RequestTrace trace;
-    trace.id = id;
-    recorder.record(std::move(trace));
-  }
-  EXPECT_EQ(recorder.next_id(), 1u);
-  EXPECT_EQ(recorder.next_id(), 2u);
-  const std::vector<RequestTrace> drained = recorder.drain();
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0].id, 1u);
-  EXPECT_EQ(drained[1].id, 2u);
-  EXPECT_EQ(drained[2].id, 3u);
-  EXPECT_EQ(recorder.drain().size(), 0u);
-  EXPECT_EQ(recorder.stats().drained, 3u);
-}
-
-TEST(TraceRecorder, BoundedBufferDropsAndCounts) {
-  // Capacity 1 rounds up to one slot per shard; a single thread always hits
-  // the same shard, so the second record from this thread must drop.
-  TraceRecorder recorder(true, 1);
-  recorder.record(RequestTrace{});
-  recorder.record(RequestTrace{});
-  const TraceStats stats = recorder.stats();
-  EXPECT_EQ(stats.recorded, 1u);
-  EXPECT_EQ(stats.dropped, 1u);
-  EXPECT_TRUE(stats.enabled);
-}
-
-TEST(TraceRecorder, DisabledRecorderDrainsEmpty) {
-  TraceRecorder recorder(false, 0);
-  EXPECT_FALSE(recorder.enabled());
-  EXPECT_TRUE(recorder.drain().empty());
-  EXPECT_EQ(recorder.stats().capacity, 0u);
-}
 
 TEST(EngineTrace, DisabledByDefaultAndZeroOverheadPathDrainsNothing) {
   Fixture fx;
