@@ -127,8 +127,8 @@ inline std::string repo_revision() {
 /// Shared envelope for every BENCH_*.json artifact, so the perf trajectory
 /// is comparable across PRs: {"bench", "threads", "hardware_concurrency",
 /// "kernel_variant", "repo_rev", "results"}. The machine's hardware thread
-/// count and the kernel variant dispatch resolved to (scalar/avx2, after the
-/// SPLACE_FORCE_SCALAR override) make numbers comparable across hosts.
+/// count and the kernel variant (always "scalar") make numbers comparable
+/// across hosts and with artifacts from earlier revisions.
 /// `results_json` must already be valid JSON (object or array).
 inline std::string bench_envelope_json(const std::string& bench,
                                        std::size_t threads,

@@ -5,22 +5,18 @@
 // At these sizes the all-pairs RoutingTable (n BFS trees) is the memory
 // wall, not the kernels, so paths are built bench-locally from per-client
 // BFS trees with a capped candidate-host pool — the same one-tree-per-source
-// route shape ProblemInstance uses, at any n. Three representations of the
+// route shape ProblemInstance uses, at any n. Two representations of the
 // identical path sets are measured on the two objectives that dominate
 // Algorithm 2 (coverage and k = 1 distinguishability):
 //
-//   legacy          prebuilt PathSet per candidate, ObjectiveState::gain
-//                   (the pre-arena hot path, bit for bit)
-//   arena+scalar    PathArena sets through the portable word kernels
-//   arena+dispatch  same sets through the runtime-dispatched kernels
+//   legacy   prebuilt PathSet per candidate, ObjectiveState::gain
+//            (the pre-arena hot path, bit for bit)
+//   arena    PathArena sets through the word kernels
 //
 // Every gain is cross-checked against the legacy value and a full greedy
 // placement is run per representation — any numeric or placement divergence
 // exits non-zero, so the CI smoke leg (--smoke) doubles as an equivalence
-// gate. The smoke leg additionally fails when the dispatched kernels fall
-// below 0.7x the scalar throughput (a dispatch regression), and the full
-// sweep records the arena-vs-legacy speedup the ISSUE acceptance tracks
-// (>= 2x for distinguishability at >= 10k nodes).
+// gate. The full sweep records the arena-vs-legacy speedup per size.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -31,7 +27,6 @@
 
 #include "bench_common.hpp"
 #include "core/splace.hpp"
-#include "monitoring/kernels.hpp"
 #include "monitoring/path_arena.hpp"
 #include "placement/stochastic.hpp"
 #include "util/string_util.hpp"
@@ -164,15 +159,7 @@ BenchInstance build_instance(Graph g, std::size_t n_services,
 }
 
 /// How a representation evaluates one candidate's gain.
-enum class Rep { Legacy, ArenaScalar, ArenaDispatch };
-
-/// Pins kernel dispatch for a representation (legacy never reaches kernels).
-void pin_variant(Rep rep) {
-  if (rep == Rep::ArenaScalar)
-    kernels::force_variant_for_testing(KernelVariant::Scalar);
-  else
-    kernels::force_variant_for_testing(std::nullopt);
-}
+enum class Rep { Legacy, Arena };
 
 double candidate_gain(const BenchInstance& inst, const ObjectiveState& state,
                       Rep rep, std::size_t s, std::size_t hi) {
@@ -187,7 +174,6 @@ std::vector<std::size_t> greedy_hosts(const BenchInstance& inst,
                                       ObjectiveKind kind, Rep rep,
                                       double* objective,
                                       std::size_t* evaluations) {
-  pin_variant(rep);
   auto state = make_objective_state(kind, inst.nodes, 1);
   const std::size_t n_services = inst.services.size();
   std::vector<std::size_t> placed_host(n_services, SIZE_MAX);
@@ -226,7 +212,6 @@ std::vector<std::size_t> greedy_hosts(const BenchInstance& inst,
 double evals_per_sec(const BenchInstance& inst, ObjectiveKind kind, Rep rep,
                      double min_seconds, std::vector<double>* record,
                      const std::vector<double>* expect, bool* ok) {
-  pin_variant(rep);
   auto state = make_objective_state(kind, inst.nodes, 1);
   state->add_paths(*inst.services[0].legacy[0]);
 
@@ -279,7 +264,7 @@ int main(int argc, char** argv) {
             << " candidate hosts, k = 1 ====\n\n";
   TablePrinter table({"family", "nodes", "rows", "arena B/node",
                       "legacy B/node", "cov Mev/s", "cov x", "dist Mev/s",
-                      "dist x", "dispatch"});
+                      "dist x"});
 
   bench::JsonWriter json;
   json.begin_object()
@@ -290,7 +275,6 @@ int main(int argc, char** argv) {
       .begin_array("sizes");
 
   bool all_ok = true;
-  bool dispatch_ok = true;
   for (const SizeSpec& spec : specs) {
     Rng rng(spec.nodes);
     Graph g = spec.family == "grid"
@@ -317,7 +301,7 @@ int main(int argc, char** argv) {
         .field("arena_bytes_per_node", arena_bytes_per_node)
         .field("legacy_bytes_per_node", legacy_bytes_per_node);
 
-    double row_numbers[2][3] = {{0, 0, 0}, {0, 0, 0}};
+    double row_numbers[2][2] = {{0, 0}, {0, 0}};
     const ObjectiveKind kinds[2] = {ObjectiveKind::Coverage,
                                     ObjectiveKind::Distinguishability};
     for (int ki = 0; ki < 2; ++ki) {
@@ -327,44 +311,31 @@ int main(int argc, char** argv) {
       const double legacy_eps = evals_per_sec(inst, kind, Rep::Legacy,
                                               min_seconds, &reference,
                                               nullptr, nullptr);
-      const double scalar_eps =
-          evals_per_sec(inst, kind, Rep::ArenaScalar, min_seconds, nullptr,
-                        &reference, &gains_ok);
-      const double dispatch_eps =
-          evals_per_sec(inst, kind, Rep::ArenaDispatch, min_seconds, nullptr,
+      const double arena_eps =
+          evals_per_sec(inst, kind, Rep::Arena, min_seconds, nullptr,
                         &reference, &gains_ok);
 
-      double objective[3] = {0, 0, 0};
-      std::size_t evals[3] = {0, 0, 0};
+      double objective[2] = {0, 0};
+      std::size_t evals[2] = {0, 0};
       const std::vector<std::size_t> p_legacy =
           greedy_hosts(inst, kind, Rep::Legacy, &objective[0], &evals[0]);
-      const std::vector<std::size_t> p_scalar =
-          greedy_hosts(inst, kind, Rep::ArenaScalar, &objective[1], &evals[1]);
-      const std::vector<std::size_t> p_dispatch = greedy_hosts(
-          inst, kind, Rep::ArenaDispatch, &objective[2], &evals[2]);
-      const bool placements_ok = p_legacy == p_scalar &&
-                                 p_legacy == p_dispatch &&
-                                 objective[0] == objective[1] &&
-                                 objective[0] == objective[2];
+      const std::vector<std::size_t> p_arena =
+          greedy_hosts(inst, kind, Rep::Arena, &objective[1], &evals[1]);
+      const bool placements_ok =
+          p_legacy == p_arena && objective[0] == objective[1];
       if (!gains_ok || !placements_ok) {
         all_ok = false;
         std::cerr << "MISMATCH: " << to_string(kind) << " on " << spec.family
                   << "/" << inst.nodes << " (gains_ok=" << gains_ok
                   << ", placements_ok=" << placements_ok << ")\n";
       }
-      if (dispatch_eps < 0.7 * scalar_eps) dispatch_ok = false;
-
-      row_numbers[ki][0] = dispatch_eps / 1e6;
-      row_numbers[ki][1] = dispatch_eps / legacy_eps;
-      row_numbers[ki][2] = scalar_eps;
+      row_numbers[ki][0] = arena_eps / 1e6;
+      row_numbers[ki][1] = arena_eps / legacy_eps;
 
       json.begin_object(to_string(kind))
           .field("legacy_evals_per_sec", legacy_eps)
-          .field("arena_scalar_evals_per_sec", scalar_eps)
-          .field("arena_dispatch_evals_per_sec", dispatch_eps)
-          .field("scalar_speedup_vs_legacy", scalar_eps / legacy_eps)
-          .field("dispatch_speedup_vs_legacy", dispatch_eps / legacy_eps)
-          .field("dispatch_over_scalar", dispatch_eps / scalar_eps)
+          .field("arena_evals_per_sec", arena_eps)
+          .field("arena_speedup_vs_legacy", arena_eps / legacy_eps)
           .field("greedy_evaluations", evals[0])
           .field("objective_value", objective[0])
           .field("gains_identical", gains_ok)
@@ -380,8 +351,7 @@ int main(int argc, char** argv) {
                    format_double(row_numbers[0][0], 2),
                    format_double(row_numbers[0][1], 1),
                    format_double(row_numbers[1][0], 2),
-                   format_double(row_numbers[1][1], 1),
-                   std::string(to_string(kernels::active_variant()))});
+                   format_double(row_numbers[1][1], 1)});
   }
   json.end_array();
 
@@ -442,12 +412,8 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: representations disagree\n";
     return 1;
   }
-  if (!dispatch_ok) {
-    std::cerr << "FAIL: dispatched kernels below 0.7x scalar throughput\n";
-    return smoke ? 1 : 0;  // only the CI smoke leg gates on throughput
-  }
-  std::cout << "\n(arena evals/sec vs the pre-arena layout; 'dist x' is the "
-               "dispatched distinguishability speedup. Identical gains and "
+  std::cout << "\n(arena evals/sec vs the pre-arena layout; 'cov x' and "
+               "'dist x' are the arena speedups. Identical gains and "
                "placements are asserted for every size.)\n";
   return 0;
 }

@@ -86,12 +86,6 @@ require_suites build-ubsan $UBSAN_SUITES
 ctest --test-dir build-ubsan --output-on-failure \
   -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest"
 
-# Scalar-dispatch leg: the same suites with SPLACE_FORCE_SCALAR=1, proving
-# the env override pins the portable kernels and that they stand alone
-# (placements must not depend on which variant dispatch resolves to).
-SPLACE_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -R "PathArena|Kernels|Stochastic|Greedy"
-
 # Warnings-as-errors leg: one full build with the warning set promoted to
 # errors, so a new -Wall/-Wextra/-Wconversion diagnostic fails the script
 # instead of scrolling past in the log.
@@ -106,8 +100,7 @@ build/bench/bench_localize --episodes 8 --out BENCH_localize_smoke.json
 rm -f BENCH_localize_smoke.json
 
 # Scale-kernel smoke leg: bench_scale --smoke exits nonzero when the arena
-# representations disagree with the legacy layout (gains or placements) or
-# when the dispatched kernels drop below 0.7x the scalar throughput.
+# representation disagrees with the legacy layout (gains or placements).
 build/bench/bench_scale --smoke
 
 # Cascade smoke leg: bench_cascade --smoke exits nonzero unless >= 1

@@ -39,19 +39,29 @@ void LatencyStats::merge(const LatencyStats& other) {
 
 namespace {
 
-/// Minimal JSON string escaping for tenant ids (quote, backslash, control
-/// characters).
+/// JSON string escaping for tenant ids: quote, backslash, and every
+/// control character below 0x20 (\n, \t and \r short, the rest \u00XX).
 std::string json_escape(const std::string& raw) {
+  constexpr char kHex[] = "0123456789abcdef";
   std::string out;
   out.reserve(raw.size());
   for (const char c : raw) {
+    const auto byte = static_cast<unsigned char>(c);
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default: out += c; break;
+      default:
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xf];
+        } else {
+          out += c;
+        }
+        break;
     }
   }
   return out;
@@ -62,9 +72,11 @@ std::string tenant_label(const std::string& tenant) {
   return tenant.empty() ? "default" : tenant;
 }
 
-void append_latency(std::ostringstream& os, const std::string& name,
-                    const LatencyStats& stats) {
-  os << "\"" << name << "\": {\"count\": " << stats.count
+}  // namespace
+
+std::string to_json(const LatencyStats& stats) {
+  std::ostringstream os;
+  os << "{\"count\": " << stats.count
      << ", \"mean_seconds\": " << stats.mean_seconds()
      << ", \"min_seconds\": " << stats.min_seconds
      << ", \"max_seconds\": " << stats.max_seconds << ", \"log2_us\": {";
@@ -75,9 +87,8 @@ void append_latency(std::ostringstream& os, const std::string& name,
     first = false;
   }
   os << "}}";
+  return os.str();
 }
-
-}  // namespace
 
 std::string to_json(const EngineMetricsSnapshot& snapshot) {
   std::ostringstream os;
@@ -160,17 +171,11 @@ std::string to_json(const EngineMetricsSnapshot& snapshot) {
      << ", \"drained\": " << snapshot.tracing.drained
      << ", \"dropped\": " << snapshot.tracing.dropped
      << ", \"capacity\": " << snapshot.tracing.capacity << "}"
-     << ", \"latency\": {";
-  append_latency(os, "place", snapshot.place);
-  os << ", ";
-  append_latency(os, "evaluate", snapshot.evaluate);
-  os << ", ";
-  append_latency(os, "localize", snapshot.localize);
-  os << ", ";
-  append_latency(os, "mutate", snapshot.mutate);
-  os << ", ";
-  append_latency(os, "portfolio", snapshot.portfolio);
-  os << "}}";
+     << ", \"latency\": {\"place\": " << to_json(snapshot.place)
+     << ", \"evaluate\": " << to_json(snapshot.evaluate)
+     << ", \"localize\": " << to_json(snapshot.localize)
+     << ", \"mutate\": " << to_json(snapshot.mutate)
+     << ", \"portfolio\": " << to_json(snapshot.portfolio) << "}}";
   return os.str();
 }
 

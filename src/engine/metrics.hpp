@@ -38,6 +38,10 @@ struct LatencyStats {
   }
 };
 
+/// JSON object {"count", "mean_seconds", "min_seconds", "max_seconds",
+/// "log2_us"} of one accumulator.
+std::string to_json(const LatencyStats& stats);
+
 /// Per-tenant request counters (admission view; cache partition stats are
 /// tracked by TenantCacheMap). Keyed by the raw tenant id — the empty
 /// default tenant renders as "default" in exports.

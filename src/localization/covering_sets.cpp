@@ -13,15 +13,6 @@ namespace splace {
 namespace {
 
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
-
-std::size_t saturating_add(std::size_t a, std::size_t b) {
-  return a > kSaturated - b ? kSaturated : a + b;
-}
-
-std::size_t saturating_mul(std::size_t a, std::size_t b) {
-  return b != 0 && a > kSaturated / b ? kSaturated : a * b;
-}
 
 /// Table slots for n nodes: a power of two of at least 4n, so the live
 /// classes (at most one per node) never fill more than a quarter of it.
@@ -118,10 +109,8 @@ void CoveringClasses::assign(NodeId v, bool pooled) {
 }
 
 std::size_t CoveringClasses::home(const std::uint64_t* row) const {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::size_t w = 0; w < words_; ++w)
-    hash = (hash ^ row[w]) * 1099511628211ull;
-  return static_cast<std::size_t>(hash) & (table_.size() - 1);
+  return static_cast<std::size_t>(signature_row_hash(row, words_)) &
+         (table_.size() - 1);
 }
 
 std::size_t CoveringClasses::probe(NodeId v) {

@@ -46,29 +46,35 @@ LocalizationResult localize(const PathSet& paths,
   result.consistent_sets =
       covering_failure_sets(pool, incidence, failed_paths, k);
 
-  // Greedy minimal explanation: cover the failed paths with suspect nodes.
-  if (failed_paths.any()) {
-    std::vector<DynamicBitset> candidates;
-    std::vector<NodeId> candidate_ids;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!result.suspects.test(v)) continue;
-      candidates.push_back(incidence[v]);
-      candidate_ids.push_back(v);
-    }
-    const auto cover = greedy_set_cover(failed_paths, candidates);
-    if (cover) {
-      for (std::size_t i : *cover)
-        result.minimal_explanation.push_back(candidate_ids[i]);
-      std::sort(result.minimal_explanation.begin(),
-                result.minimal_explanation.end());
-    }
-  }
+  result.minimal_explanation =
+      minimal_explanation(incidence, result.suspects, failed_paths);
   return result;
 }
 
 LocalizationResult localize(const PathSet& paths,
                             const FailureScenario& scenario, std::size_t k) {
   return localize(paths, scenario.failed_paths, k);
+}
+
+std::vector<NodeId> minimal_explanation(
+    const std::vector<DynamicBitset>& incidence, const DynamicBitset& suspects,
+    const DynamicBitset& failed_paths) {
+  SPLACE_EXPECTS(suspects.size() == incidence.size());
+  std::vector<NodeId> explanation;
+  if (failed_paths.none()) return explanation;
+  std::vector<DynamicBitset> candidates;
+  std::vector<NodeId> candidate_ids;
+  for (NodeId v = 0; v < incidence.size(); ++v) {
+    if (!suspects.test(v)) continue;
+    candidates.push_back(incidence[v]);
+    candidate_ids.push_back(v);
+  }
+  const auto cover = greedy_set_cover(failed_paths, candidates);
+  if (cover) {
+    for (std::size_t i : *cover) explanation.push_back(candidate_ids[i]);
+    std::sort(explanation.begin(), explanation.end());
+  }
+  return explanation;
 }
 
 }  // namespace splace

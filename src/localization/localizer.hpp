@@ -57,4 +57,12 @@ LocalizationResult localize(const PathSet& paths,
 LocalizationResult localize(const PathSet& paths,
                             const FailureScenario& scenario, std::size_t k);
 
+/// The greedy minimal explanation of LocalizationResult: a set cover of
+/// `failed_paths` by the incidence rows (node -> path indices) of the
+/// `suspects`, ascending. Empty when nothing failed or the suspects cannot
+/// cover every failed path.
+std::vector<NodeId> minimal_explanation(
+    const std::vector<DynamicBitset>& incidence, const DynamicBitset& suspects,
+    const DynamicBitset& failed_paths);
+
 }  // namespace splace

@@ -14,14 +14,30 @@ std::size_t pairs_of(std::size_t n) { return n * (n - 1) / 2; }
 }  // namespace
 
 EquivalenceClasses::SplitScratch::SplitScratch(std::size_t node_count) {
-  sig.resize(node_count);
+  sig_slot.resize(node_count);
   sig_stamp.resize(node_count, 0);
   touched.reserve(node_count);
-  groups.reserve(node_count);
+  touched_sig.reserve(node_count);
   class_stamp.resize(node_count + 1, 0);  // ≤ node_count + 1 classes ever
   class_head.resize(node_count + 1);
   slots.reserve(256);
   touched_classes.reserve(128);
+}
+
+std::uint32_t EquivalenceClasses::SplitScratch::begin(std::size_t node_count) {
+  sig_slot.resize(node_count);
+  sig_stamp.resize(node_count, 0);
+  class_stamp.resize(node_count + 1, 0);
+  class_head.resize(node_count + 1);
+  // Stamp-based validity: an entry is live iff its stamp matches the
+  // current call, so nothing needs zeroing between calls. On (unlikely)
+  // wrap-around, zero every stamp array once and restart the epoch.
+  if (++stamp == 0) {
+    std::fill(sig_stamp.begin(), sig_stamp.end(), 0u);
+    std::fill(class_stamp.begin(), class_stamp.end(), 0u);
+    stamp = 1;
+  }
+  return stamp;
 }
 
 EquivalenceClasses::EquivalenceClasses(std::size_t node_count)
@@ -113,41 +129,28 @@ SplitDelta EquivalenceClasses::split_delta(const PathSet& extra,
                                            SplitScratch& scratch) const {
   SPLACE_EXPECTS(extra.node_count() == node_count_);
   SPLACE_EXPECTS(extra.size() <= 64);
-
-  // Stamp-based validity: a signature is live iff its stamp matches the
-  // current call, so nothing needs zeroing between calls. On (unlikely)
-  // stamp wrap-around, zero every stamp array once — the counter is shared
-  // with the arena overload's class stamps — and restart the epoch.
-  scratch.sig.resize(node_count_);
-  scratch.sig_stamp.resize(node_count_, 0);
-  if (++scratch.stamp == 0) {
-    std::fill(scratch.sig_stamp.begin(), scratch.sig_stamp.end(), 0u);
-    std::fill(scratch.class_stamp.begin(), scratch.class_stamp.end(), 0u);
-    scratch.stamp = 1;
-  }
-  const std::uint32_t stamp = scratch.stamp;
+  const std::uint32_t stamp = scratch.begin(node_count_);
 
   // Signature of node v = bitmask of the extra paths traversing v. Members
   // of a class stay together iff they share a signature; every untouched
   // member (v0 included — it is never on a path) implicitly carries
-  // signature 0, so the whole computation only ever visits path nodes:
-  // O(Σ|p| log Σ|p|) per call, independent of class sizes.
+  // signature 0, so the whole computation only ever visits path nodes.
   scratch.touched.clear();
+  scratch.touched_sig.clear();
   for (std::size_t pi = 0; pi < extra.size(); ++pi) {
     for (NodeId v : extra[pi].nodes()) {
       if (scratch.sig_stamp[v] != stamp) {
         scratch.sig_stamp[v] = stamp;
-        scratch.sig[v] = 0;
+        scratch.sig_slot[v] =
+            static_cast<std::uint32_t>(scratch.touched.size());
         scratch.touched.push_back(v);
+        scratch.touched_sig.push_back(0);
       }
-      scratch.sig[v] |= std::uint64_t{1} << pi;
+      scratch.touched_sig[scratch.sig_slot[v]] |= std::uint64_t{1} << pi;
     }
   }
-  scratch.groups.clear();
-  for (NodeId v : scratch.touched)
-    scratch.groups.emplace_back(class_index_[v], scratch.sig[v]);
-  std::sort(scratch.groups.begin(), scratch.groups.end());
-  return count_groups(scratch);
+  return group_delta(scratch.touched.data(), scratch.touched_sig.data(),
+                     scratch.touched.size(), scratch);
 }
 
 SplitDelta EquivalenceClasses::split_delta(ArenaPathsRef extra,
@@ -155,28 +158,27 @@ SplitDelta EquivalenceClasses::split_delta(ArenaPathsRef extra,
   SPLACE_EXPECTS(extra.arena != nullptr);
   SPLACE_EXPECTS(extra.arena->node_count() == node_count_);
   SPLACE_EXPECTS(extra.size() <= 64);
+  scratch.begin(node_count_);
 
   // The arena precomputed each touched node's extra-path incidence
   // signature at intern time (same bit positions as the PathSet overload:
   // set rows preserve PathSet::add order), so the hot path is pure
-  // grouping. Group sort-free with a stamped per-class chain of
-  // (signature, count) slots: per pair, one class_index_ lookup and a scan
-  // of the class's few distinct signatures — cheaper than sorting the pair
-  // list every evaluation, and order never matters to the counts.
+  // grouping.
   const PathArena& arena = *extra.arena;
-  const std::size_t n_pairs = arena.set_sig_count(extra.set);
-  const std::uint32_t* nodes = arena.set_sig_nodes(extra.set);
-  const std::uint64_t* sigs = arena.set_sig_values(extra.set);
+  return group_delta(arena.set_sig_nodes(extra.set),
+                     arena.set_sig_values(extra.set),
+                     arena.set_sig_count(extra.set), scratch);
+}
 
-  scratch.class_stamp.resize(node_count_ + 1, 0);
-  scratch.class_head.resize(node_count_ + 1);
-  if (++scratch.stamp == 0) {
-    std::fill(scratch.sig_stamp.begin(), scratch.sig_stamp.end(), 0u);
-    std::fill(scratch.class_stamp.begin(), scratch.class_stamp.end(), 0u);
-    scratch.stamp = 1;
-  }
+SplitDelta EquivalenceClasses::group_delta(const NodeId* nodes,
+                                           const std::uint64_t* sigs,
+                                           std::size_t n_pairs,
+                                           SplitScratch& scratch) const {
+  // Group sort-free with a stamped per-class chain of (signature, count)
+  // slots: per pair, one class_index_ lookup and a scan of the class's few
+  // distinct signatures. Each (class, signature) slot is one post-split
+  // group, and order never matters to the counts.
   const std::uint32_t stamp = scratch.stamp;
-
   scratch.slots.clear();
   scratch.touched_classes.clear();
   for (std::size_t i = 0; i < n_pairs; ++i) {
@@ -201,67 +203,30 @@ SplitDelta EquivalenceClasses::split_delta(ArenaPathsRef extra,
     }
   }
 
-  // Identical arithmetic to count_groups — each (class, signature) slot is
-  // one post-split group, exactly the runs the sorted tail would count.
   const std::size_t v0_class = class_index_[virtual_node()];
   SplitDelta delta;
   for (std::size_t ci : scratch.touched_classes) {
     const std::size_t class_size = class_size_[ci];
+    if (class_size == 1) continue;  // singletons cannot split further
     std::size_t touched_in_class = 0;
     std::size_t same_sig_pairs = 0;
-    std::size_t singleton_runs = 0;
+    std::size_t singleton_groups = 0;
     for (std::uint32_t it = scratch.class_head[ci]; it != UINT32_MAX;
          it = scratch.slots[it].next) {
-      const std::size_t run = scratch.slots[it].count;
-      touched_in_class += run;
-      same_sig_pairs += run * (run - 1) / 2;
-      if (run == 1) ++singleton_runs;
+      const std::size_t group = scratch.slots[it].count;
+      touched_in_class += group;
+      same_sig_pairs += pairs_of(group);
+      if (group == 1) ++singleton_groups;
     }
-    if (class_size == 1) continue;  // singletons cannot split further
-    const std::size_t zero_group = class_size - touched_in_class;
-    same_sig_pairs += zero_group * (zero_group - 1) / 2;
-    delta.newly_distinguishable +=
-        class_size * (class_size - 1) / 2 - same_sig_pairs;
-    delta.newly_identifiable += singleton_runs;
-    if (zero_group == 1 && ci != v0_class) ++delta.newly_identifiable;
-  }
-  return delta;
-}
-
-SplitDelta EquivalenceClasses::count_groups(const SplitScratch& scratch) const {
-  const std::size_t v0_class = class_index_[virtual_node()];
-  SplitDelta delta;
-  for (std::size_t i = 0; i < scratch.groups.size();) {
-    const std::size_t ci = scratch.groups[i].first;
-    const std::size_t class_size = class_size_[ci];
-    // Runs of equal (class, signature) are the touched post-split groups.
-    std::size_t touched_in_class = 0;
-    std::size_t same_sig_pairs = 0;
-    std::size_t singleton_runs = 0;
-    std::size_t j = i;
-    while (j < scratch.groups.size() && scratch.groups[j].first == ci) {
-      std::size_t r = j;
-      while (r < scratch.groups.size() && scratch.groups[r].first == ci &&
-             scratch.groups[r].second == scratch.groups[j].second)
-        ++r;
-      const std::size_t run = r - j;
-      touched_in_class += run;
-      same_sig_pairs += run * (run - 1) / 2;
-      if (run == 1) ++singleton_runs;
-      j = r;
-    }
-    i = j;
-    if (class_size == 1) continue;  // singletons cannot split further
     // The untouched remainder of the class is one more post-split group.
     const std::size_t zero_group = class_size - touched_in_class;
-    same_sig_pairs += zero_group * (zero_group - 1) / 2;
-    delta.newly_distinguishable +=
-        class_size * (class_size - 1) / 2 - same_sig_pairs;
+    same_sig_pairs += pairs_of(zero_group);
+    delta.newly_distinguishable += pairs_of(class_size) - same_sig_pairs;
     // A size->1 class had no identifiable member before, so every new
-    // singleton group is newly identifiable: touched singleton runs are
+    // singleton group is newly identifiable: touched singleton groups are
     // always real nodes; the untouched remainder only counts when it is a
     // lone real node (not v0, which never leaves the untouched group).
-    delta.newly_identifiable += singleton_runs;
+    delta.newly_identifiable += singleton_groups;
     if (zero_group == 1 && ci != v0_class) ++delta.newly_identifiable;
   }
   return delta;

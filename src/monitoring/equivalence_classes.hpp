@@ -20,11 +20,15 @@
 //   |S_1(P)|  = # singleton classes not containing v0;
 //   |D_1(P)|  = C(|N|+1, 2) − Σ_class C(|class|, 2);
 //   degree of uncertainty of x (Fig. 8) = |class(x)| − 1.
+//
+// split_delta scores a candidate path set without refining: one grouping
+// tail files the candidate's (node, signature) pairs into a stamped chain
+// per class, whether the signatures come from a PathSet's node lists or
+// from an arena set's precomputed signature plane.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "monitoring/path.hpp"
@@ -52,15 +56,20 @@ class EquivalenceClasses {
 
    private:
     friend class EquivalenceClasses;
-    std::vector<std::uint64_t> sig;        ///< per-node path signature
-    std::vector<std::uint32_t> sig_stamp;  ///< validity stamp for `sig`
-    std::vector<NodeId> touched;           ///< nodes on any extra path
-    /// (class index, signature) per touched node — the sort/group buffer.
-    std::vector<std::pair<std::size_t, std::uint64_t>> groups;
+    /// Sizes the per-node and per-class arrays for `node_count` nodes and
+    /// opens a new stamp epoch; returns the epoch's stamp.
+    std::uint32_t begin(std::size_t node_count);
+
+    // PathSet overload: per-node slot in `touched` (valid while its stamp
+    // is current), and the touched nodes with their signatures.
+    std::vector<std::uint32_t> sig_slot;
+    std::vector<std::uint32_t> sig_stamp;
+    std::vector<NodeId> touched;
+    std::vector<std::uint64_t> touched_sig;
     std::uint32_t stamp = 0;
 
-    /// Sort-free grouping state for the arena overload: per touched class, a
-    /// chained list of (signature, member count) slots.
+    /// Grouping state of the shared tail: per touched class, a chained
+    /// list of (signature, member count) slots.
     struct SigCount {
       std::uint64_t sig;
       std::uint32_t count;
@@ -100,9 +109,9 @@ class EquivalenceClasses {
   SplitDelta split_delta(const PathSet& extra, SplitScratch& scratch) const;
 
   /// Arena fast path of split_delta: per-node signatures come from the
-  /// arena's precomputed signature plane (built once per set by the
-  /// word-parallel split kernel), grouped by a stamped per-class counter
-  /// instead of a sort — the result is bit-identical to
+  /// arena's precomputed signature plane (built once per set by
+  /// kernels::split_signatures) instead of the paths' node lists. Both
+  /// overloads group through one tail, so the result is bit-identical to
   /// split_delta(extra.materialize(), scratch).
   SplitDelta split_delta(ArenaPathsRef extra, SplitScratch& scratch) const;
 
@@ -160,9 +169,11 @@ class EquivalenceClasses {
   /// the unmarked rest, updating the counters; clears the scratch.
   void split_marked();
 
-  /// Shared tail of both split_delta overloads: counts the post-split groups
-  /// from the sorted (class index, signature) pairs in scratch.groups.
-  SplitDelta count_groups(const SplitScratch& scratch) const;
+  /// Shared tail of both split_delta overloads: groups the (node,
+  /// signature) pairs by class and signature, and counts Δ|S_1| and Δ|D_1|
+  /// from the groups. Runs in the epoch scratch.begin() opened.
+  SplitDelta group_delta(const NodeId* nodes, const std::uint64_t* sigs,
+                         std::size_t n_pairs, SplitScratch& scratch) const;
 };
 
 }  // namespace splace

@@ -15,14 +15,6 @@ __extension__ using u128 = unsigned __int128;
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 constexpr std::size_t kSaturated = std::numeric_limits<std::size_t>::max();
 
-std::size_t saturating_add(std::size_t a, std::size_t b) {
-  return a > kSaturated - b ? kSaturated : a + b;
-}
-
-std::size_t saturating_mul(std::size_t a, std::size_t b) {
-  return b != 0 && a > kSaturated / b ? kSaturated : a * b;
-}
-
 std::size_t saturate(u128 x) {
   return x > kSaturated ? kSaturated : static_cast<std::size_t>(x);
 }
@@ -40,20 +32,13 @@ u128 pairs(std::size_t m) {
 }
 
 /// Slot of `row` in a power-of-two open-addressing table over `rows`
-/// (`words` per row): its entry, or the empty slot where it would go. The
-/// FNV multiply only carries bits upward, so a final shift-xor folds the
-/// row's high bits into the slot bits.
+/// (`words` per row): its entry, or the empty slot where it would go.
 std::size_t find_slot(const std::vector<std::uint32_t>& table,
                       const std::vector<std::uint64_t>& rows,
                       const std::uint64_t* row, std::size_t words) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::size_t w = 0; w < words; ++w)
-    hash = (hash ^ row[w]) * 1099511628211ull;
-  hash ^= hash >> 32;
-  hash *= 0xbf58476d1ce4e5b9ull;
-  hash ^= hash >> 29;
   const std::size_t mask = table.size() - 1;
-  std::size_t slot = static_cast<std::size_t>(hash) & mask;
+  std::size_t slot =
+      static_cast<std::size_t>(signature_row_hash(row, words)) & mask;
   while (table[slot] != kNone &&
          !std::equal(row, row + words, rows.data() + table[slot] * words))
     slot = (slot + 1) & mask;

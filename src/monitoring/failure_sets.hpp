@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -20,6 +21,33 @@
 #include "util/bitset.hpp"
 
 namespace splace {
+
+/// a + b, saturating at SIZE_MAX.
+inline std::size_t saturating_add(std::size_t a, std::size_t b) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return a > kMax - b ? kMax : a + b;
+}
+
+/// a · b, saturating at SIZE_MAX.
+inline std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return b != 0 && a > kMax / b ? kMax : a * b;
+}
+
+/// Hash of a signature row of `words` 64-bit words, for power-of-two open
+/// addressing (mask its low bits). The FNV multiply only carries bits
+/// upward, so a final shift-xor folds the row's high bits into the low
+/// ones; without it rows that differ only above the slot bits share a slot.
+inline std::uint64_t signature_row_hash(const std::uint64_t* row,
+                                        std::size_t words) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (std::size_t w = 0; w < words; ++w)
+    hash = (hash ^ row[w]) * 1099511628211ull;
+  hash ^= hash >> 32;
+  hash *= 0xbf58476d1ce4e5b9ull;
+  hash ^= hash >> 29;
+  return hash;
+}
 
 /// C(n, m), saturating at SIZE_MAX; 0 when m > n.
 std::size_t binomial(std::size_t n, std::size_t m);

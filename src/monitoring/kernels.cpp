@@ -1,27 +1,42 @@
 #include "monitoring/kernels.hpp"
 
-#include <atomic>
 #include <bit>
 
 #include "util/error.hpp"
 
+namespace splace {
+
+const char* to_string(KernelVariant variant) {
+  switch (variant) {
+    case KernelVariant::Scalar: return "scalar";
+  }
+  return "?";
+}
+
+}  // namespace splace
+
 namespace splace::kernels {
 
-namespace {
-
-std::size_t scalar_coverage_new_bits(const std::uint64_t* covered,
-                                     const std::uint32_t* union_words,
-                                     const std::uint64_t* union_masks,
-                                     std::size_t n_entries) {
+std::size_t coverage_new_bits(const std::uint64_t* covered,
+                              const std::uint32_t* union_words,
+                              const std::uint64_t* union_masks,
+                              std::size_t n_entries) {
   std::size_t total = 0;
-  for (std::size_t i = 0; i < n_entries; ++i)
-    total += static_cast<std::size_t>(
-        std::popcount(union_masks[i] & ~covered[union_words[i]]));
+  for (std::size_t i = 0; i < n_entries; ++i) {
+    // SWAR popcount: at the baseline x86-64 target this build uses (no
+    // POPCNT instruction), std::popcount compiles to one libgcc call per
+    // word, which costs more than these few ALU operations.
+    std::uint64_t x = union_masks[i] & ~covered[union_words[i]];
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    total += static_cast<std::size_t>((x * 0x0101010101010101ull) >> 56);
+  }
   return total;
 }
 
-void scalar_split_signatures(const PathArena& arena, std::uint32_t set,
-                             std::vector<NodeSig>& out) {
+void split_signatures(const PathArena& arena, std::uint32_t set,
+                      std::vector<NodeSig>& out) {
   const std::uint32_t* rows = arena.set_rows(set);
   const std::size_t k = arena.set_size(set);
   SPLACE_EXPECTS(k <= 64);
@@ -77,44 +92,6 @@ void scalar_split_signatures(const PathArena& arena, std::uint32_t set,
   }
 }
 
-constexpr Ops kScalarOps{KernelVariant::Scalar, &scalar_coverage_new_bits,
-                         &scalar_split_signatures};
-
-const Ops* resolve_auto() {
-  if (!scalar_forced_by_env() && avx2_ops() != nullptr) return avx2_ops();
-  return &kScalarOps;
-}
-
-std::atomic<const Ops*> g_ops{nullptr};
-
-}  // namespace
-
-const Ops& scalar_ops() { return kScalarOps; }
-
-const Ops& ops() {
-  const Ops* table = g_ops.load(std::memory_order_acquire);
-  if (table == nullptr) {
-    table = resolve_auto();
-    g_ops.store(table, std::memory_order_release);
-  }
-  return *table;
-}
-
-KernelVariant active_variant() { return ops().variant; }
-
-void force_variant_for_testing(std::optional<KernelVariant> variant) {
-  if (!variant.has_value()) {
-    g_ops.store(resolve_auto(), std::memory_order_release);
-    return;
-  }
-  if (*variant == KernelVariant::Scalar) {
-    g_ops.store(&kScalarOps, std::memory_order_release);
-    return;
-  }
-  const Ops* avx2 = avx2_ops();
-  if (avx2 == nullptr)
-    throw ContractViolation("AVX2 kernels unavailable on this build/CPU");
-  g_ops.store(avx2, std::memory_order_release);
-}
+KernelVariant active_variant() { return KernelVariant::Scalar; }
 
 }  // namespace splace::kernels

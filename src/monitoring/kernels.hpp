@@ -1,11 +1,6 @@
-// Word-parallel kernels for the two dominant greedy inner loops, with
-// runtime CPU dispatch (DESIGN.md §14).
-//
-// Both kernels read PathArena planes and do pure integer set algebra, so the
-// scalar and AVX2 variants are bit-identical by construction — dispatch is a
-// speed knob, never a behavior knob. The active variant is resolved once per
-// process from the CPU's feature flags and the SPLACE_FORCE_SCALAR override
-// (util/cpu_features.hpp); tests and benches may pin a variant explicitly.
+// Word-parallel kernels for the two dominant greedy inner loops
+// (DESIGN.md §14). Both read PathArena planes and do pure integer set
+// algebra; each has one portable scalar implementation.
 //
 //   coverage_new_bits   |(∪ P(C_s,h)) ∖ covered| — the coverage gain — as a
 //                       single fused pass over a set's sparse union row; the
@@ -23,11 +18,22 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "monitoring/path_arena.hpp"
-#include "util/cpu_features.hpp"
+
+namespace splace {
+
+/// The kernel implementation a build runs, reported in benchmark
+/// provenance. There is one.
+enum class KernelVariant {
+  Scalar,  ///< portable scalar code
+};
+
+/// Short display name: "scalar".
+const char* to_string(KernelVariant variant);
+
+}  // namespace splace
 
 namespace splace::kernels {
 
@@ -38,41 +44,21 @@ struct NodeSig {
   std::uint64_t sig;
 };
 
-/// The dispatchable kernel table. All functions are pure (no global state).
-struct Ops {
-  KernelVariant variant;
+/// Σ popcount(union_masks[i] & ~covered[union_words[i]]) — the number of
+/// nodes the set would newly cover. `covered` must hold every indexed word.
+std::size_t coverage_new_bits(const std::uint64_t* covered,
+                              const std::uint32_t* union_words,
+                              const std::uint64_t* union_masks,
+                              std::size_t n_entries);
 
-  /// Σ popcount(union_masks[i] & ~covered[union_words[i]]) — the number of
-  /// nodes the set would newly cover. `covered` must hold every indexed word.
-  std::size_t (*coverage_new_bits)(const std::uint64_t* covered,
-                                   const std::uint32_t* union_words,
-                                   const std::uint64_t* union_masks,
-                                   std::size_t n_entries);
+/// Emits (node, signature) for every node on at least one of the set's
+/// rows, ascending by node id, into `out` (cleared first). Allocation-free
+/// beyond `out`'s growth: rows are word-sorted, so a k-way merge groups the
+/// 64-node blocks without sort or scratch. Requires set_size <= 64.
+void split_signatures(const PathArena& arena, std::uint32_t set,
+                      std::vector<NodeSig>& out);
 
-  /// Emits (node, signature) for every node on at least one of the set's
-  /// rows, ascending by node id, into `out` (cleared first). Allocation-free
-  /// beyond `out`'s growth: rows are word-sorted, so a k-way merge groups
-  /// the 64-node blocks without sort or scratch. Requires set_size <= 64.
-  void (*split_signatures)(const PathArena& arena, std::uint32_t set,
-                           std::vector<NodeSig>& out);
-};
-
-/// The scalar kernel table (always available).
-const Ops& scalar_ops();
-
-/// The AVX2 kernel table, or nullptr when this build/CPU cannot run it.
-const Ops* avx2_ops();
-
-/// The active table: AVX2 when supported and not overridden, else scalar.
-/// Resolved once per process (after any force_variant_for_testing override).
-const Ops& ops();
-
-/// The variant ops() currently resolves to.
+/// The variant this build runs: always KernelVariant::Scalar.
 KernelVariant active_variant();
-
-/// Test/bench hook: pin dispatch to a variant (throws ContractViolation if
-/// unsupported), or pass nullopt to restore automatic resolution. Not
-/// thread-safe against concurrent ops() callers — flip only between runs.
-void force_variant_for_testing(std::optional<KernelVariant> variant);
 
 }  // namespace splace::kernels

@@ -62,7 +62,7 @@ class CoverageState final : public ObjectiveState {
     // One fused pass over the set's precomputed sparse union row — no
     // scratch copy, no per-path OR, no second popcount.
     SPLACE_EXPECTS(extra.arena->node_count() == covered_.size());
-    return static_cast<double>(kernels::ops().coverage_new_bits(
+    return static_cast<double>(kernels::coverage_new_bits(
         covered_.word_data(), extra.arena->set_union_words(extra.set),
         extra.arena->set_union_masks(extra.set),
         extra.arena->set_union_word_count(extra.set)));

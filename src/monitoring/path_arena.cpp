@@ -128,12 +128,11 @@ std::uint32_t PathArena::intern_set(const std::vector<std::uint32_t>& rows) {
       static_cast<std::uint32_t>(set_union_words_.size()));
 
   // Signature plane: the per-node path-incidence signatures are a pure
-  // function of the set's rows, so compute them once here (through the
-  // dispatched word-parallel kernel — both variants are bit-identical) and
-  // let every split_delta evaluation consume the stored span directly.
+  // function of the set's rows, so compute them once here and let every
+  // split_delta evaluation consume the stored span directly.
   if (distinct.size() <= 64) {
     std::vector<kernels::NodeSig> sigs;
-    kernels::ops().split_signatures(*this, set, sigs);
+    kernels::split_signatures(*this, set, sigs);
     for (const kernels::NodeSig& ns : sigs) {
       set_sig_nodes_.push_back(ns.node);
       set_sig_values_.push_back(ns.sig);

@@ -96,7 +96,7 @@ class PathArena {
   /// Precomputed per-node path-incidence signatures of a set, ascending by
   /// node id: bit i of set_sig_values[j] is set iff row i of the set covers
   /// node set_sig_nodes[j]. Signatures are a pure function of the set, so
-  /// they are built ONCE at intern time (by the dispatched split kernel) and
+  /// they are built ONCE at intern time (by kernels::split_signatures) and
   /// the split_delta hot path just consumes the span — no per-evaluation
   /// merge. Empty for sets of more than 64 rows (no 64-bit signature).
   std::size_t set_sig_count(std::uint32_t set) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "monitoring/set_cover.hpp"
 #include "util/error.hpp"
 
 namespace splace::stream {
@@ -238,25 +237,8 @@ LocalizationResult ObservationIngest::result() const {
   }
 
   result.consistent_sets = classes_.sets(k_);
-
-  const DynamicBitset& down_paths = classes_.target();
-  if (down_paths.any()) {
-    std::vector<DynamicBitset> candidates;
-    std::vector<NodeId> candidate_ids;
-    for (NodeId v = 0; v < n; ++v) {
-      if (!result.suspects.test(v)) continue;
-      candidates.push_back(incidence_[v]);
-      candidate_ids.push_back(v);
-    }
-    const auto cover = greedy_set_cover(down_paths, candidates);
-    if (cover) {
-      for (std::size_t i : *cover) {
-        result.minimal_explanation.push_back(candidate_ids[i]);
-      }
-      std::sort(result.minimal_explanation.begin(),
-                result.minimal_explanation.end());
-    }
-  }
+  result.minimal_explanation =
+      minimal_explanation(incidence_, result.suspects, classes_.target());
   return result;
 }
 

@@ -4,25 +4,6 @@
 
 namespace splace::stream {
 
-namespace {
-
-void append_latency(std::ostringstream& os, const std::string& name,
-                    const engine::LatencyStats& stats) {
-  os << "\"" << name << "\": {\"count\": " << stats.count
-     << ", \"mean_seconds\": " << stats.mean_seconds()
-     << ", \"min_seconds\": " << stats.min_seconds
-     << ", \"max_seconds\": " << stats.max_seconds << ", \"log2_us\": {";
-  bool first = true;
-  for (const auto& [bucket, count] : stats.log2_us.counts()) {
-    if (!first) os << ", ";
-    os << "\"" << bucket << "\": " << count;
-    first = false;
-  }
-  os << "}}";
-}
-
-}  // namespace
-
 std::string to_json(const StreamStats& stats) {
   std::ostringstream os;
   os << "{\"streams_opened\": " << stats.streams_opened
@@ -31,11 +12,10 @@ std::string to_json(const StreamStats& stats) {
      << ", \"detections\": " << stats.detections
      << ", \"localizations\": " << stats.localizations
      << ", \"ambiguity_events\": " << stats.ambiguity_events
-     << ", \"reenumerations\": " << stats.reenumerations << ", ";
-  append_latency(os, "detect_latency", stats.detect_latency);
-  os << ", ";
-  append_latency(os, "localize_latency", stats.localize_latency);
-  os << "}";
+     << ", \"reenumerations\": " << stats.reenumerations
+     << ", \"detect_latency\": " << engine::to_json(stats.detect_latency)
+     << ", \"localize_latency\": "
+     << engine::to_json(stats.localize_latency) << "}";
   return os.str();
 }
 

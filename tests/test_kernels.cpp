@@ -3,27 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "monitoring/path_arena.hpp"
 #include "test_helpers.hpp"
 #include "util/bitset.hpp"
-#include "util/cpu_features.hpp"
-#include "util/error.hpp"
 #include "util/random.hpp"
 
 namespace splace {
 namespace {
-
-/// Restores automatic dispatch after each test so an early EXPECT failure
-/// cannot leak a pinned variant into later tests.
-class KernelsTest : public ::testing::Test {
- protected:
-  ~KernelsTest() override {
-    kernels::force_variant_for_testing(std::nullopt);
-  }
-};
 
 /// Random arena set over `n` nodes plus its member paths as node lists.
 struct SetFixture {
@@ -74,18 +62,18 @@ void expect_signatures_equal(const std::vector<kernels::NodeSig>& got,
   }
 }
 
-TEST_F(KernelsTest, ScalarSplitSignaturesMatchBruteForce) {
+TEST(KernelsTest, ScalarSplitSignaturesMatchBruteForce) {
   Rng rng(5);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 65 + rng.index(400);  // always spans word borders
     SetFixture fx = random_set(n, 1 + rng.index(12), 1 + rng.index(60), rng);
     std::vector<kernels::NodeSig> got;
-    kernels::scalar_ops().split_signatures(fx.arena, fx.set, got);
+    kernels::split_signatures(fx.arena, fx.set, got);
     expect_signatures_equal(got, reference_signatures(fx, n));
   }
 }
 
-TEST_F(KernelsTest, ScalarCoverageMatchesBruteForce) {
+TEST(KernelsTest, ScalarCoverageMatchesBruteForce) {
   Rng rng(6);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t n = 65 + rng.index(400);
@@ -103,79 +91,26 @@ TEST_F(KernelsTest, ScalarCoverageMatchesBruteForce) {
           ++expect;
         }
 
-    const std::size_t got = kernels::scalar_ops().coverage_new_bits(
+    const std::size_t got = kernels::coverage_new_bits(
         covered.word_data(), fx.arena.set_union_words(fx.set),
         fx.arena.set_union_masks(fx.set),
         fx.arena.set_union_word_count(fx.set));
     EXPECT_EQ(got, expect);
   }
-}
 
-TEST_F(KernelsTest, Avx2BitIdenticalToScalar) {
-  const kernels::Ops* avx2 = kernels::avx2_ops();
-  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this build/CPU";
-  ASSERT_EQ(avx2->variant, KernelVariant::Avx2);
-
-  Rng rng(7);
-  for (int trial = 0; trial < 60; ++trial) {
-    // Sizes straddle every vector-width boundary the kernels care about:
-    // <4 rows (scalar block path), >=4 rows (vector path), partial tails.
-    const std::size_t n = 64 + rng.index(1500);
-    SetFixture fx = random_set(n, 1 + rng.index(20), 1 + rng.index(100), rng);
-
-    std::vector<kernels::NodeSig> scalar_sigs;
-    std::vector<kernels::NodeSig> avx2_sigs;
-    kernels::scalar_ops().split_signatures(fx.arena, fx.set, scalar_sigs);
-    avx2->split_signatures(fx.arena, fx.set, avx2_sigs);
-    expect_signatures_equal(avx2_sigs, scalar_sigs);
-
-    DynamicBitset covered(n);
-    for (std::size_t v = 0; v < n; ++v)
-      if (rng.index(2) == 0) covered.set(v);
-    EXPECT_EQ(avx2->coverage_new_bits(covered.word_data(),
-                                      fx.arena.set_union_words(fx.set),
-                                      fx.arena.set_union_masks(fx.set),
-                                      fx.arena.set_union_word_count(fx.set)),
-              kernels::scalar_ops().coverage_new_bits(
-                  covered.word_data(), fx.arena.set_union_words(fx.set),
-                  fx.arena.set_union_masks(fx.set),
-                  fx.arena.set_union_word_count(fx.set)));
+  // Dense words: every per-word bit count from 0 to 64.
+  const std::uint64_t uncovered = 0;
+  const std::uint32_t word = 0;
+  for (std::size_t bits = 0; bits <= 64; ++bits) {
+    const std::uint64_t mask =
+        bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    EXPECT_EQ(kernels::coverage_new_bits(&uncovered, &word, &mask, 1), bits);
   }
 }
 
-TEST_F(KernelsTest, DispatchHonorsForceAndEnvOverride) {
-  // Automatic resolution: AVX2 iff available and not env-forced to scalar.
-  kernels::force_variant_for_testing(std::nullopt);
-  if (scalar_forced_by_env() || kernels::avx2_ops() == nullptr)
-    EXPECT_EQ(kernels::active_variant(), KernelVariant::Scalar);
-  else
-    EXPECT_EQ(kernels::active_variant(), KernelVariant::Avx2);
-
-  kernels::force_variant_for_testing(KernelVariant::Scalar);
-  EXPECT_EQ(kernels::active_variant(), KernelVariant::Scalar);
-  EXPECT_EQ(kernels::ops().variant, KernelVariant::Scalar);
-
-  if (kernels::avx2_ops() != nullptr) {
-    kernels::force_variant_for_testing(KernelVariant::Avx2);
-    EXPECT_EQ(kernels::active_variant(), KernelVariant::Avx2);
-  } else {
-    EXPECT_THROW(kernels::force_variant_for_testing(KernelVariant::Avx2),
-                 ContractViolation);
-  }
-}
-
-TEST_F(KernelsTest, VariantNames) {
+TEST(KernelsTest, VariantNames) {
   EXPECT_STREQ(to_string(KernelVariant::Scalar), "scalar");
-  EXPECT_STREQ(to_string(KernelVariant::Avx2), "avx2");
-}
-
-TEST_F(KernelsTest, EnvOverrideReflectsEnvironment) {
-  // scalar_forced_by_env() caches the value observed at first call; the CI
-  // leg that sets SPLACE_FORCE_SCALAR=1 exercises the true branch.
-  const char* env = std::getenv("SPLACE_FORCE_SCALAR");
-  const bool expect =
-      env != nullptr && env[0] != '\0' && std::string(env) != "0";
-  EXPECT_EQ(scalar_forced_by_env(), expect);
+  EXPECT_EQ(kernels::active_variant(), KernelVariant::Scalar);
 }
 
 }  // namespace

@@ -348,6 +348,35 @@ TEST(Localizer, CoveringCountSaturatesInsteadOfWrapping) {
   EXPECT_EQ(classes.count(2), 2u * 64u + 1u);
 }
 
+TEST(Localizer, SingleBitClassesOverManyWordsGroupQuickly) {
+  // A star: center 0, leaf v alone on path v - 1, pool = the leaves.
+  // Against every leaf's path each leaf is a class of its own, and the
+  // class signatures differ in a single bit of 157 words. The row hash must
+  // fold those bits into the slot bits: masking the low bits of a plain FNV
+  // hash files every class whose bit sits above them into one slot of its
+  // word, and probing turns quadratic.
+  constexpr std::size_t kLeaves = 10000;
+  std::vector<DynamicBitset> incidence(kLeaves + 1, DynamicBitset(kLeaves));
+  std::vector<NodeId> leaves;
+  DynamicBitset every_path(kLeaves);
+  for (NodeId v = 1; v <= kLeaves; ++v) {
+    incidence[0].set(v - 1);
+    incidence[v].set(v - 1);
+    leaves.push_back(v);
+    every_path.set(v - 1);
+  }
+  EXPECT_EQ(CoveringClasses(leaves, incidence, every_path).count(1), 0u);
+
+  DynamicBitset three_paths(kLeaves);
+  three_paths.set(0);
+  three_paths.set(5000);
+  three_paths.set(9999);
+  CoveringClasses three(leaves, incidence, three_paths);
+  EXPECT_EQ(three.count(3), 1u);
+  EXPECT_EQ(three.sets(3),
+            (std::vector<std::vector<NodeId>>{{1, 5001, 10000}}));
+}
+
 TEST(Localizer, SizeMismatchRejected) {
   const PathSet paths = testing::make_paths(4, {{0}});
   EXPECT_THROW(localize(paths, DynamicBitset(3), 1), ContractViolation);

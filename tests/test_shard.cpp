@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <set>
@@ -357,6 +358,23 @@ TEST(Exposition, EscapesLabelValues) {
   const std::string text = engine.metrics_text();
   EXPECT_NE(text.find("we\\\"ird\\\\te\\nnant"), std::string::npos);
   EXPECT_EQ(text.find("we\"ird"), std::string::npos);
+}
+
+TEST(EngineTenants, MetricsJsonEscapesControlCharacters) {
+  // JSON strings may not hold raw control characters: a tenant id with one
+  // comes out as \u00XX, keeping the short escapes for \t, \n and \r.
+  Fixture fx;
+  EngineConfig config;
+  config.threads = 1;
+  Engine engine(fx.registry, config);
+  const std::string tenant = std::string("a\x01") + "b\x1f\tc";
+  ASSERT_TRUE(
+      engine.submit(place_request(fx, Algorithm::RD, 42, tenant)).get().ok());
+  const std::string json = engine::to_json(engine.metrics());
+  EXPECT_NE(json.find("\"a\\u0001b\\u001f\\tc\": {"), std::string::npos);
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  }));
 }
 
 TEST(Replay, ParsesShardTenantAndQuotaDirectives) {
