@@ -25,7 +25,7 @@ UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_cascade test_shard test_algorithm_registry test_portfolio \
   test_localization test_stream test_sim test_sim_trace \
   test_failure_sets test_identifiability test_distinguishability \
-  test_interest"
+  test_interest test_metrics_text"
 
 require_suites() {
   dir="$1"; shift
@@ -76,15 +76,16 @@ ctest --test-dir build-asan --output-on-failure \
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.
 # The failure-set enumerator's word ORs and combination indexing (batch
 # localizer and streaming ingest) run here too, as do SignatureGroups'
-# class combinations and saturating 64/128-bit counts, and the simulator's
-# event loop with and without the cascade overlay.
+# class combinations and saturating 64/128-bit counts, the simulator's
+# event loop with and without the cascade overlay, and the metrics text
+# writer's log2 bucket shifts and label stack.
 cmake -B build-ubsan -G Ninja -DSPLACE_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-ubsan --target $UBSAN_SUITES
 require_suites build-ubsan $UBSAN_SUITES
 ctest --test-dir build-ubsan --output-on-failure \
-  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest"
+  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|MetricsText|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest"
 
 # Warnings-as-errors leg: one full build with the warning set promoted to
 # errors, so a new -Wall/-Wextra/-Wconversion diagnostic fails the script

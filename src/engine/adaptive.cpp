@@ -36,10 +36,12 @@ AdaptiveCacheController::AdaptiveCacheController(
   ring_.assign(window_, 0);
 }
 
-std::size_t AdaptiveCacheController::observe_locked(const std::string& key,
-                                                    RequestType type,
-                                                    const std::string& tenant,
-                                                    std::size_t current) {
+void AdaptiveCacheController::observe(const std::string& key,
+                                      RequestType type,
+                                      const std::string& tenant,
+                                      TenantCacheMap& tenants) {
+  if (!enabled_) return;
+  std::unique_lock<std::mutex> lock(mutex_);
   const std::uint64_t hash = key_hash(key);
   ++observed_;
 
@@ -70,11 +72,13 @@ std::size_t AdaptiveCacheController::observe_locked(const std::string& key,
   }
   ++entry.count;
 
-  if (observed_ % interval_ != 0) return 0;
+  if (observed_ % interval_ != 0) return;
 
   // Re-target: working set plus headroom, clamped to the configured bounds,
   // applied only past the 1/8 hysteresis band (no flapping on a working set
-  // that wobbles by a few keys).
+  // that wobbles by a few keys). Only this method changes the total, under
+  // mutex_, which also serializes racing re-target decisions.
+  const std::size_t current = tenants.total_capacity();
   const std::size_t working_set = in_window_.size();
   const auto desired = static_cast<std::size_t>(
       std::ceil(static_cast<double>(working_set) * headroom_));
@@ -82,34 +86,8 @@ std::size_t AdaptiveCacheController::observe_locked(const std::string& key,
       std::clamp(desired, min_capacity_, max_capacity_);
   const std::size_t diff =
       target > current ? target - current : current - target;
-  if (target == current || diff * 8 < current) return 0;
+  if (target == current || diff * 8 < current) return;
   resizes_.push_back(ResizeEvent{observed_, current, target, working_set});
-  // min_capacity_ >= 1, so a real target is never 0 — 0 is the "no resize"
-  // sentinel.
-  return target;
-}
-
-void AdaptiveCacheController::observe(const std::string& key,
-                                      RequestType type, ResultCache& cache) {
-  if (!enabled_) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::size_t target =
-      observe_locked(key, type, std::string{}, cache.capacity());
-  if (target == 0) return;
-  // Lock order is controller -> cache, and nothing takes them the other way
-  // around; holding mutex_ here also serializes racing re-target decisions.
-  cache.set_capacity(target);
-}
-
-void AdaptiveCacheController::observe(const std::string& key,
-                                      RequestType type,
-                                      const std::string& tenant,
-                                      TenantCacheMap& tenants) {
-  if (!enabled_) return;
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::size_t target =
-      observe_locked(key, type, tenant, tenants.total_capacity());
-  if (target == 0) return;
   // Split the new total budget proportionally to each tenant's share of the
   // window's distinct keys — the "capacity split seeded from the working-set
   // signal". Lock order: controller -> tenant map -> partition.
@@ -129,11 +107,6 @@ AdaptiveCacheStats AdaptiveCacheController::stats() const {
   stats.observed = observed_;
   stats.working_set = in_window_.size();
   stats.working_set_by_type = distinct_by_type_;
-  stats.working_set_by_tenant.assign(distinct_by_tenant_.begin(),
-                                     distinct_by_tenant_.end());
-  std::sort(stats.working_set_by_tenant.begin(),
-            stats.working_set_by_tenant.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   stats.resizes = resizes_;
   return stats;
 }

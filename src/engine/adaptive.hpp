@@ -51,10 +51,6 @@ struct AdaptiveCacheStats {
   std::uint64_t observed = 0;   ///< responses observed so far
   std::size_t working_set = 0;  ///< distinct canonical keys in the window
   std::array<std::size_t, kRequestTypeCount> working_set_by_type{};
-  /// Distinct keys in the window per tenant, sorted by tenant name (empty
-  /// default tenant first). This is the signal that seeds per-tenant cache
-  /// partition splits in the sharded serving tier.
-  std::vector<std::pair<std::string, std::size_t>> working_set_by_tenant;
   std::size_t min_capacity = 0;  ///< entries
   std::size_t max_capacity = 0;  ///< entries
   std::vector<ResizeEvent> resizes;
@@ -74,13 +70,9 @@ class AdaptiveCacheController {
   bool enabled() const { return enabled_; }
 
   /// Feeds one completed response's canonical key into the window; every
-  /// `interval` observations, re-targets `cache`'s capacity.
-  void observe(const std::string& key, RequestType type, ResultCache& cache);
-
-  /// Tenant-aware variant for partitioned caches: same window and total
-  /// re-target policy, but the new total is split across `tenants`'
-  /// partitions proportionally to each tenant's distinct-key count in the
-  /// window (TenantCacheMap::set_split) instead of resizing one cache.
+  /// `interval` observations, re-targets the total capacity of `tenants`
+  /// and splits it across their partitions proportionally to each tenant's
+  /// distinct-key count in the window (TenantCacheMap::set_split).
   void observe(const std::string& key, RequestType type,
                const std::string& tenant, TenantCacheMap& tenants);
 
@@ -92,13 +84,6 @@ class AdaptiveCacheController {
     RequestType type = RequestType::Place;
     std::string tenant;
   };
-
-  /// Shared window bookkeeping. Returns the target capacity when this
-  /// observation triggers a re-target past the hysteresis band (given the
-  /// aggregate `current` capacity), or 0 when no resize should happen.
-  /// Caller holds mutex_.
-  std::size_t observe_locked(const std::string& key, RequestType type,
-                             const std::string& tenant, std::size_t current);
 
   bool enabled_;
   std::size_t min_capacity_;

@@ -39,8 +39,9 @@ void LatencyStats::merge(const LatencyStats& other) {
 
 namespace {
 
-/// JSON string escaping for tenant ids: quote, backslash, and every
-/// control character below 0x20 (\n, \t and \r short, the rest \u00XX).
+/// JSON string escaping for keys (tenant ids are arbitrary): quote,
+/// backslash, and every control character below 0x20 (\n, \t and \r
+/// short, the rest \u00XX).
 std::string json_escape(const std::string& raw) {
   constexpr char kHex[] = "0123456789abcdef";
   std::string out;
@@ -67,116 +68,233 @@ std::string json_escape(const std::string& raw) {
   return out;
 }
 
-/// Empty tenant id = the default tenant; exports name it explicitly.
-std::string tenant_label(const std::string& tenant) {
-  return tenant.empty() ? "default" : tenant;
-}
+/// `{"key": value, ...}` with ", " between entries; families are ignored.
+class JsonWriter final : public MetricWriter {
+ public:
+  JsonWriter() { push('{', false); }
+
+  void open(const std::string& key, const char* /*label*/) override {
+    entry(key);
+    push('{', false);
+  }
+  void open_list(const std::string& key) override {
+    entry(key);
+    push('[', true);
+  }
+  void close() override {
+    out_ << (lists_.back() ? ']' : '}');
+    lists_.pop_back();
+    first_ = false;  // the closed container was an entry of its parent
+  }
+  void value(const std::string& key, std::uint64_t value,
+             const MetricFamily& /*family*/) override {
+    entry(key);
+    out_ << value;
+  }
+  void value(const std::string& key, double value,
+             const MetricFamily& /*family*/) override {
+    entry(key);
+    out_ << value;
+  }
+  void value(const std::string& key, bool value,
+             const MetricFamily& /*family*/) override {
+    entry(key);
+    out_ << (value ? "true" : "false");
+  }
+  void latency(const std::string& key, const LatencyStats& stats,
+               const MetricFamily& /*family*/) override {
+    open(key, nullptr);
+    value("count", stats.count, {});
+    value("mean_seconds", stats.mean_seconds(), {});
+    value("min_seconds", stats.min_seconds, {});
+    value("max_seconds", stats.max_seconds, {});
+    open("log2_us", nullptr);
+    for (const auto& [bucket, count] : stats.log2_us.counts())
+      value(std::to_string(bucket), std::uint64_t{count}, {});
+    close();
+    close();
+  }
+
+  std::string str() {
+    close();
+    return out_.str();
+  }
+
+ private:
+  void push(char bracket, bool list) {
+    out_ << bracket;
+    lists_.push_back(list);
+    first_ = true;
+  }
+  /// Separator and (inside an object) the quoted key of the next entry.
+  void entry(const std::string& key) {
+    if (!first_) out_ << ", ";
+    first_ = false;
+    if (!lists_.back()) out_ << "\"" << json_escape(key) << "\": ";
+  }
+
+  std::ostringstream out_;
+  std::vector<bool> lists_;  ///< open containers, innermost last
+  bool first_ = true;        ///< nothing written yet in the innermost one
+};
 
 }  // namespace
 
-std::string to_json(const LatencyStats& stats) {
-  std::ostringstream os;
-  os << "{\"count\": " << stats.count
-     << ", \"mean_seconds\": " << stats.mean_seconds()
-     << ", \"min_seconds\": " << stats.min_seconds
-     << ", \"max_seconds\": " << stats.max_seconds << ", \"log2_us\": {";
-  bool first = true;
-  for (const auto& [bucket, count] : stats.log2_us.counts()) {
-    if (!first) os << ", ";
-    os << "\"" << bucket << "\": " << count;
-    first = false;
+std::string render_json(const std::function<void(MetricWriter&)>& walk) {
+  JsonWriter writer;
+  walk(writer);
+  return writer.str();
+}
+
+void describe(const EngineMetricsSnapshot& s, MetricWriter& w) {
+  w.value("submitted", s.submitted,
+          {"splace_requests_submitted_total", "counter",
+           "Requests submitted to the engine."});
+  w.value("completed", s.completed,
+          {"splace_requests_completed_total", "counter",
+           "Requests answered Ok (cache hits included)."});
+  w.value("cache_hits", s.cache_hits,
+          {"splace_requests_cache_hits_total", "counter",
+           "Requests answered from the result cache."});
+  const MetricFamily rejected{"splace_requests_rejected_total", "counter",
+                              "Requests rejected, by reason.", "reason"};
+  w.open("rejected");
+  w.value("queue_full", s.rejected_queue_full, rejected);
+  w.value("deadline", s.rejected_deadline, rejected);
+  w.value("bad_request", s.rejected_bad_request, rejected);
+  w.value("tenant_quota", s.rejected_tenant_quota, rejected);
+  w.value("total", s.rejected_total());
+  w.close();
+  w.value("queue_depth", s.queue_depth,
+          {"splace_queue_depth", "gauge", "Requests in flight right now."});
+  w.value("queue_high_water", s.queue_high_water,
+          {"splace_queue_high_water", "gauge",
+           "Max requests in flight ever observed."});
+  w.value("elapsed_seconds", s.elapsed_seconds,
+          {"splace_uptime_seconds", "gauge",
+           "Seconds since engine construction."});
+  w.value("throughput_rps", s.throughput());
+
+  w.open("cache");
+  w.value("hits", s.cache.hits,
+          {"splace_result_cache_hits_total", "counter",
+           "Result-cache lookup hits."});
+  w.value("misses", s.cache.misses,
+          {"splace_result_cache_misses_total", "counter",
+           "Result-cache lookup misses."});
+  w.value("evictions", s.cache.evictions);
+  w.open("evictions_by_type");
+  for (std::size_t t = 0; t < kRequestTypeCount; ++t)
+    w.value(to_string(static_cast<RequestType>(t)),
+            s.cache.evictions_by_type[t],
+            {"splace_result_cache_evictions_total", "counter",
+             "Result-cache evictions, by request type.", "type"});
+  w.close();
+  w.value("evicted_bytes_estimate", s.cache.evicted_bytes_estimate);
+  w.value("size", s.cache.size,
+          {"splace_result_cache_size", "gauge",
+           "Entries currently in the result cache."});
+  w.value("capacity", s.cache.capacity,
+          {"splace_result_cache_capacity", "gauge",
+           "Result-cache capacity (entries)."});
+  w.value("hit_rate", s.cache.hit_rate());
+  w.close();
+
+  // Every tenant with admission counters or a cache partition (the default
+  // partition exists before its tenant sends anything), sorted by id.
+  std::map<std::string, std::pair<const TenantCounters*, const CacheStats*>>
+      tenants;
+  for (const auto& [id, counters] : s.tenants) tenants[id].first = &counters;
+  for (const auto& [id, cache] : s.tenant_caches) tenants[id].second = &cache;
+  w.open("tenants");
+  for (const auto& [id, entry] : tenants) {
+    const auto& [counters, cache] = entry;
+    w.open(id, "tenant");
+    if (counters != nullptr) {
+      w.value("submitted", counters->submitted,
+              {"splace_tenant_requests_submitted_total", "counter",
+               "Requests submitted, by tenant."});
+      w.value("completed", counters->completed,
+              {"splace_tenant_requests_completed_total", "counter",
+               "Requests answered Ok, by tenant."});
+      w.value("cache_hits", counters->cache_hits,
+              {"splace_tenant_cache_hits_total", "counter",
+               "Requests answered from the tenant's cache partition."});
+      w.value("rejected_quota", counters->rejected_quota,
+              {"splace_tenant_rejected_quota_total", "counter",
+               "Requests rejected by the tenant's admission quota."});
+    }
+    if (cache != nullptr) {
+      w.open("cache");
+      w.value("hits", cache->hits);
+      w.value("misses", cache->misses);
+      w.value("evictions", cache->evictions);
+      w.value("size", cache->size,
+              {"splace_tenant_cache_size", "gauge",
+               "Entries in the tenant's cache partition."});
+      w.value("capacity", cache->capacity,
+              {"splace_tenant_cache_capacity", "gauge",
+               "Capacity of the tenant's cache partition (entries)."});
+      w.value("hit_rate", cache->hit_rate());
+      w.close();
+    }
+    w.close();
   }
-  os << "}}";
-  return os.str();
+  w.close();
+
+  w.open("adaptive_cache");
+  w.value("enabled", s.adaptive.enabled);
+  w.value("window", s.adaptive.window);
+  w.value("observed", s.adaptive.observed);
+  w.value("working_set", s.adaptive.working_set);
+  w.open("working_set_by_type");
+  for (std::size_t t = 0; t < kRequestTypeCount; ++t)
+    w.value(to_string(static_cast<RequestType>(t)),
+            s.adaptive.working_set_by_type[t]);
+  w.close();
+  w.value("min_capacity", s.adaptive.min_capacity);
+  w.value("max_capacity", s.adaptive.max_capacity);
+  w.value("final_capacity", s.cache.capacity);
+  w.open_list("resize_events");
+  for (const ResizeEvent& event : s.adaptive.resizes) {
+    w.open("");
+    w.value("at_observation", event.at_observation);
+    w.value("from", event.old_capacity);
+    w.value("to", event.new_capacity);
+    w.value("working_set", event.working_set);
+    w.close();
+  }
+  w.close();
+  w.close();
+
+  w.open("tracing");
+  w.value("enabled", s.tracing.enabled,
+          {"splace_traces_enabled", "gauge",
+           "1 when request tracing is enabled."});
+  w.value("recorded", s.tracing.recorded,
+          {"splace_traces_buffered", "gauge",
+           "Traces buffered awaiting drain_traces()."});
+  w.value("drained", s.tracing.drained,
+          {"splace_traces_drained_total", "counter",
+           "Traces handed out by drain_traces()."});
+  w.value("dropped", s.tracing.dropped,
+          {"splace_traces_dropped_total", "counter",
+           "Traces lost to the bounded trace buffer."});
+  w.value("capacity", s.tracing.capacity);
+  w.close();
+
+  w.open("latency");
+  for (std::size_t t = 0; t < kRequestTypeCount; ++t)
+    w.latency(to_string(static_cast<RequestType>(t)), s.latency[t],
+              {"splace_request_latency_us", "histogram",
+               "End-to-end Ok-request latency in microseconds, by request "
+               "type.",
+               "type"});
+  w.close();
 }
 
 std::string to_json(const EngineMetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os << "{\"submitted\": " << snapshot.submitted
-     << ", \"completed\": " << snapshot.completed
-     << ", \"cache_hits\": " << snapshot.cache_hits
-     << ", \"rejected\": {\"queue_full\": " << snapshot.rejected_queue_full
-     << ", \"deadline\": " << snapshot.rejected_deadline
-     << ", \"bad_request\": " << snapshot.rejected_bad_request
-     << ", \"tenant_quota\": " << snapshot.rejected_tenant_quota
-     << ", \"total\": " << snapshot.rejected_total() << "}"
-     << ", \"queue_depth\": " << snapshot.queue_depth
-     << ", \"queue_high_water\": " << snapshot.queue_high_water
-     << ", \"elapsed_seconds\": " << snapshot.elapsed_seconds
-     << ", \"throughput_rps\": " << snapshot.throughput()
-     << ", \"cache\": {\"hits\": " << snapshot.cache.hits
-     << ", \"misses\": " << snapshot.cache.misses
-     << ", \"evictions\": " << snapshot.cache.evictions
-     << ", \"evictions_by_type\": {";
-  for (std::size_t t = 0; t < kRequestTypeCount; ++t) {
-    if (t > 0) os << ", ";
-    os << "\"" << to_string(static_cast<RequestType>(t))
-       << "\": " << snapshot.cache.evictions_by_type[t];
-  }
-  os << "}, \"evicted_bytes_estimate\": "
-     << snapshot.cache.evicted_bytes_estimate
-     << ", \"size\": " << snapshot.cache.size
-     << ", \"capacity\": " << snapshot.cache.capacity
-     << ", \"hit_rate\": " << snapshot.cache.hit_rate() << "}"
-     << ", \"tenants\": {";
-  for (std::size_t i = 0; i < snapshot.tenants.size(); ++i) {
-    const auto& [tenant, counters] = snapshot.tenants[i];
-    if (i > 0) os << ", ";
-    os << "\"" << json_escape(tenant_label(tenant))
-       << "\": {\"submitted\": " << counters.submitted
-       << ", \"completed\": " << counters.completed
-       << ", \"cache_hits\": " << counters.cache_hits
-       << ", \"rejected_quota\": " << counters.rejected_quota;
-    // The matching cache partition, when the cache is tenant-partitioned.
-    for (const auto& [name, cache] : snapshot.tenant_caches) {
-      if (name != tenant) continue;
-      os << ", \"cache\": {\"hits\": " << cache.hits
-         << ", \"misses\": " << cache.misses
-         << ", \"evictions\": " << cache.evictions
-         << ", \"size\": " << cache.size
-         << ", \"capacity\": " << cache.capacity
-         << ", \"hit_rate\": " << cache.hit_rate() << "}";
-      break;
-    }
-    os << "}";
-  }
-  os << "}"
-     << ", \"adaptive_cache\": {\"enabled\": "
-     << (snapshot.adaptive.enabled ? "true" : "false")
-     << ", \"window\": " << snapshot.adaptive.window
-     << ", \"observed\": " << snapshot.adaptive.observed
-     << ", \"working_set\": " << snapshot.adaptive.working_set
-     << ", \"working_set_by_type\": {";
-  for (std::size_t t = 0; t < kRequestTypeCount; ++t) {
-    if (t > 0) os << ", ";
-    os << "\"" << to_string(static_cast<RequestType>(t))
-       << "\": " << snapshot.adaptive.working_set_by_type[t];
-  }
-  os << "}, \"min_capacity\": " << snapshot.adaptive.min_capacity
-     << ", \"max_capacity\": " << snapshot.adaptive.max_capacity
-     << ", \"final_capacity\": " << snapshot.cache.capacity
-     << ", \"resize_events\": [";
-  for (std::size_t r = 0; r < snapshot.adaptive.resizes.size(); ++r) {
-    const ResizeEvent& event = snapshot.adaptive.resizes[r];
-    if (r > 0) os << ", ";
-    os << "{\"at_observation\": " << event.at_observation
-       << ", \"from\": " << event.old_capacity
-       << ", \"to\": " << event.new_capacity
-       << ", \"working_set\": " << event.working_set << "}";
-  }
-  os << "]}"
-     << ", \"tracing\": {\"enabled\": "
-     << (snapshot.tracing.enabled ? "true" : "false")
-     << ", \"recorded\": " << snapshot.tracing.recorded
-     << ", \"drained\": " << snapshot.tracing.drained
-     << ", \"dropped\": " << snapshot.tracing.dropped
-     << ", \"capacity\": " << snapshot.tracing.capacity << "}"
-     << ", \"latency\": {\"place\": " << to_json(snapshot.place)
-     << ", \"evaluate\": " << to_json(snapshot.evaluate)
-     << ", \"localize\": " << to_json(snapshot.localize)
-     << ", \"mutate\": " << to_json(snapshot.mutate)
-     << ", \"portfolio\": " << to_json(snapshot.portfolio) << "}}";
-  return os.str();
+  return render_json([&](MetricWriter& w) { describe(snapshot, w); });
 }
 
 EngineMetricsSnapshot merge_snapshots(
@@ -235,11 +353,8 @@ EngineMetricsSnapshot merge_snapshots(
     total.tracing.drained += s.tracing.drained;
     total.tracing.dropped += s.tracing.dropped;
     total.tracing.capacity += s.tracing.capacity;
-    total.place.merge(s.place);
-    total.evaluate.merge(s.evaluate);
-    total.localize.merge(s.localize);
-    total.mutate.merge(s.mutate);
-    total.portfolio.merge(s.portfolio);
+    for (std::size_t t = 0; t < kRequestTypeCount; ++t)
+      total.latency[t].merge(s.latency[t]);
   }
   total.tenants.assign(tenants.begin(), tenants.end());
   total.tenant_caches.assign(tenant_caches.begin(), tenant_caches.end());
@@ -286,24 +401,8 @@ void EngineMetrics::record_response(RequestType type,
     ++counters_.cache_hits;
     ++by_tenant.cache_hits;
   }
-  if (outcome != Outcome::Ok) return;
-  switch (type) {
-    case RequestType::Place:
-      counters_.place.record(latency_seconds);
-      break;
-    case RequestType::Evaluate:
-      counters_.evaluate.record(latency_seconds);
-      break;
-    case RequestType::Localize:
-      counters_.localize.record(latency_seconds);
-      break;
-    case RequestType::Mutate:
-      counters_.mutate.record(latency_seconds);
-      break;
-    case RequestType::Portfolio:
-      counters_.portfolio.record(latency_seconds);
-      break;
-  }
+  if (outcome == Outcome::Ok)
+    counters_.latency[static_cast<std::size_t>(type)].record(latency_seconds);
 }
 
 EngineMetricsSnapshot EngineMetrics::snapshot(

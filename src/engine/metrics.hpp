@@ -1,10 +1,17 @@
 // Operational metrics for the serving engine: per-request-type latency
 // histograms (log2-microsecond buckets over util/stats' Histogram), queue
 // depth high-water mark, admission/rejection counters, cache statistics,
-// and throughput — exportable as JSON for dashboards and the bench harness.
+// and throughput.
+//
+// Every exported number is defined once, in the describe() of its stats
+// type: its JSON key and, when the Prometheus page carries it, its family.
+// The JSON export (render_json) and the page (stream/exposition.hpp) are
+// two MetricWriters over that one walk, so they cannot drift.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -38,13 +45,52 @@ struct LatencyStats {
   }
 };
 
-/// JSON object {"count", "mean_seconds", "min_seconds", "max_seconds",
-/// "log2_us"} of one accumulator.
-std::string to_json(const LatencyStats& stats);
+/// Where an exported number appears on the Prometheus page: its family's
+/// name, type ("counter", "gauge" or "histogram") and help text, and the
+/// label (if any) whose value is the number's JSON key. A nameless family
+/// keeps the number JSON-only.
+struct MetricFamily {
+  const char* name = nullptr;
+  const char* type = nullptr;
+  const char* help = nullptr;
+  const char* label = nullptr;
+};
+
+/// Receives one describe() walk: the JSON export and the Prometheus page
+/// are its two implementations.
+class MetricWriter {
+ public:
+  /// Nests a JSON object under `key`; with a `label`, every sample inside
+  /// carries label="key".
+  virtual void open(const std::string& key, const char* label = nullptr) = 0;
+  /// Nests a JSON array under `key`; its entries are open()ed with their
+  /// keys ignored.
+  virtual void open_list(const std::string& key) = 0;
+  virtual void close() = 0;
+  virtual void value(const std::string& key, std::uint64_t value,
+                     const MetricFamily& family = {}) = 0;
+  virtual void value(const std::string& key, double value,
+                     const MetricFamily& family = {}) = 0;
+  /// true/false in JSON, 1/0 on the page.
+  virtual void value(const std::string& key, bool value,
+                     const MetricFamily& family = {}) = 0;
+  /// A JSON object {"count", "mean_seconds", "min_seconds", "max_seconds",
+  /// "log2_us"}; on the page, a histogram whose log2 bucket b is the
+  /// cumulative bucket le="2^b" (µs), plus le="+Inf", _sum (µs) and _count.
+  virtual void latency(const std::string& key, const LatencyStats& stats,
+                       const MetricFamily& family = {}) = 0;
+
+ protected:
+  /// Writers are never deleted through this interface.
+  ~MetricWriter() = default;
+};
+
+/// Renders one describe() walk as a JSON object, keys in walk order.
+std::string render_json(const std::function<void(MetricWriter&)>& walk);
 
 /// Per-tenant request counters (admission view; cache partition stats are
-/// tracked by TenantCacheMap). Keyed by the raw tenant id — the empty
-/// default tenant renders as "default" in exports.
+/// tracked by TenantCacheMap). Keyed by the raw tenant id, which is also
+/// its export name ("" = the default tenant).
 struct TenantCounters {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -72,11 +118,8 @@ struct EngineMetricsSnapshot {
   std::vector<std::pair<std::string, CacheStats>> tenant_caches;
   AdaptiveCacheStats adaptive;       ///< adaptive-capacity controller state
   TraceStats tracing;                ///< trace-recorder state
-  LatencyStats place;
-  LatencyStats evaluate;
-  LatencyStats localize;
-  LatencyStats mutate;
-  LatencyStats portfolio;
+  /// Ok-response latency, indexed by static_cast<std::size_t>(RequestType).
+  std::array<LatencyStats, kRequestTypeCount> latency;
 
   std::uint64_t rejected_total() const {
     return rejected_queue_full + rejected_deadline + rejected_bad_request +
@@ -89,6 +132,10 @@ struct EngineMetricsSnapshot {
                : static_cast<double>(completed) / elapsed_seconds;
   }
 };
+
+/// Names every exported number of a snapshot once. Tenants are the union
+/// of `tenants` and `tenant_caches`, each under its own id.
+void describe(const EngineMetricsSnapshot& snapshot, MetricWriter& writer);
 
 /// Deterministic-key-order JSON rendering of a snapshot.
 std::string to_json(const EngineMetricsSnapshot& snapshot);

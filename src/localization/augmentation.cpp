@@ -1,7 +1,6 @@
 #include "localization/augmentation.hpp"
 
-#include <bit>
-
+#include "util/bitset.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -98,7 +97,7 @@ std::vector<std::size_t> minimum_augmentation_exact(
   std::size_t best_size = pool.size() + 1;
   for (std::size_t mask = 0; mask < (std::size_t{1} << pool.size());
        ++mask) {
-    const auto size = static_cast<std::size_t>(std::popcount(mask));
+    const auto size = popcount64(mask);
     if (size >= best_size) continue;
     if (separates_all(mask)) {
       best_size = size;

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "util/bitset.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -22,16 +23,8 @@ std::size_t coverage_new_bits(const std::uint64_t* covered,
                               const std::uint64_t* union_masks,
                               std::size_t n_entries) {
   std::size_t total = 0;
-  for (std::size_t i = 0; i < n_entries; ++i) {
-    // SWAR popcount: at the baseline x86-64 target this build uses (no
-    // POPCNT instruction), std::popcount compiles to one libgcc call per
-    // word, which costs more than these few ALU operations.
-    std::uint64_t x = union_masks[i] & ~covered[union_words[i]];
-    x -= (x >> 1) & 0x5555555555555555ull;
-    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
-    total += static_cast<std::size_t>((x * 0x0101010101010101ull) >> 56);
-  }
+  for (std::size_t i = 0; i < n_entries; ++i)
+    total += popcount64(union_masks[i] & ~covered[union_words[i]]);
   return total;
 }
 

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "monitoring/kernels.hpp"
+#include "util/bitset.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -171,7 +172,7 @@ std::size_t PathArena::row_node_count(std::uint32_t row) const {
   const std::size_t n = row_word_count(row);
   std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i)
-    total += static_cast<std::size_t>(std::popcount(masks[i]));
+    total += popcount64(masks[i]);
   return total;
 }
 

@@ -1,8 +1,8 @@
 #include "monitoring/set_cover.hpp"
 
-#include <bit>
 #include <cmath>
 
+#include "util/bitset.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -37,7 +37,7 @@ std::size_t minimum_set_cover_size(
   SPLACE_EXPECTS(m < 8 * sizeof(std::size_t));
   std::size_t best = kUncoverable;
   for (std::size_t mask = 1; mask < (std::size_t{1} << m); ++mask) {
-    const auto size = static_cast<std::size_t>(std::popcount(mask));
+    const auto size = popcount64(mask);
     if (size >= best) continue;
     DynamicBitset covered(universe.size());
     for (std::size_t i = 0; i < m; ++i)

@@ -1,11 +1,11 @@
 #include "placement/pair_cover.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
 
 #include "monitoring/path_arena.hpp"
+#include "util/bitset.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -31,9 +31,8 @@ struct CoverPlanes {
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t mask = masks[i];
       const std::uint64_t have_once = once[words[i]];
-      pair_gain +=
-          static_cast<std::size_t>(std::popcount(mask & have_once & ~twice[words[i]]));
-      cover_gain += static_cast<std::size_t>(std::popcount(mask & ~have_once));
+      pair_gain += popcount64(mask & have_once & ~twice[words[i]]);
+      cover_gain += popcount64(mask & ~have_once);
     }
     return {pair_gain, cover_gain};
   }
@@ -51,7 +50,7 @@ struct CoverPlanes {
   std::size_t count(const std::vector<std::uint64_t>& plane) const {
     std::size_t total = 0;
     for (const std::uint64_t w : plane)
-      total += static_cast<std::size_t>(std::popcount(w));
+      total += popcount64(w);
     return total;
   }
 };

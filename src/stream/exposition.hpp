@@ -5,19 +5,21 @@
 //   # TYPE <name> counter|gauge|histogram
 //   <name>[{label="value",...}] <number>
 //
-// Counters carry the conventional `_total` suffix. The engine's log2-µs
-// latency histograms map onto Prometheus histogram series directly: log2
-// bucket b becomes the cumulative bucket le="2^b" (microseconds), plus
-// le="+Inf", `_sum` (µs) and `_count`. The text is deterministic for a
-// given snapshot — the golden-format test parses every line and
-// cross-checks values against the JSON exports.
+// The page is a writer over the same describe() walks as the JSON exports
+// (engine/metrics.hpp), so each number, its family and its labels are
+// defined once. Samples are filed under their family, families print in
+// first-seen order, and each family's samples follow its # TYPE line.
+// Counters carry the conventional `_total` suffix; the log2-µs latency
+// accumulators become histograms (log2 bucket b → le="2^b" µs, plus
+// le="+Inf", `_sum` in µs and `_count`).
 //
 // A sharded serving tier exposes one page for the whole group: each family
 // is declared once and sampled per shard with a `shard="<index>"` label
 // (no label for a single unlabeled engine, keeping the classic output).
 // Tenant-partitioned engines add `splace_tenant_*` families labeled by
-// tenant. Label values are escaped per the text-format rules (backslash,
-// double quote, newline) — tenant ids are arbitrary strings.
+// tenant id (`tenant=""` is the default tenant). Label values are escaped
+// per the text-format rules (backslash, double quote, newline) — tenant ids
+// are arbitrary strings.
 #pragma once
 
 #include <string>

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "engine/metrics.hpp"
+#include "stream/bus.hpp"
 
 namespace splace::stream {
 
@@ -25,8 +26,14 @@ struct StreamStats {
   engine::LatencyStats localize_latency;  ///< time-to-unique-set per episode
 };
 
+/// Names every exported streaming number once (engine/metrics.hpp).
+void describe(const StreamStats& stats, engine::MetricWriter& writer);
+
 /// Deterministic-key-order JSON rendering.
 std::string to_json(const StreamStats& stats);
+
+/// Names every exported event-bus number once.
+void describe(const BusStats& stats, engine::MetricWriter& writer);
 
 /// Mutable, internally synchronized sink shared by every ingest stream an
 /// engine opens.

@@ -31,7 +31,7 @@ bool DynamicBitset::test(std::size_t i) const {
 
 std::size_t DynamicBitset::count() const {
   std::size_t total = 0;
-  for (std::uint64_t w : words_) total += static_cast<std::size_t>(std::popcount(w));
+  for (std::uint64_t w : words_) total += popcount64(w);
   return total;
 }
 
@@ -95,7 +95,7 @@ std::size_t DynamicBitset::union_count(const DynamicBitset& other) const {
   check_same_universe(other);
   std::size_t total = 0;
   for (std::size_t i = 0; i < words_.size(); ++i)
-    total += static_cast<std::size_t>(std::popcount(words_[i] | other.words_[i]));
+    total += popcount64(words_[i] | other.words_[i]);
   return total;
 }
 
@@ -103,7 +103,7 @@ std::size_t DynamicBitset::intersection_count(const DynamicBitset& other) const 
   check_same_universe(other);
   std::size_t total = 0;
   for (std::size_t i = 0; i < words_.size(); ++i)
-    total += static_cast<std::size_t>(std::popcount(words_[i] & other.words_[i]));
+    total += popcount64(words_[i] & other.words_[i]);
   return total;
 }
 

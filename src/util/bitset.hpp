@@ -13,6 +13,16 @@
 
 namespace splace {
 
+/// Number of set bits in `x`, by a SWAR step: at the baseline x86-64 target
+/// this build uses (no POPCNT instruction), std::popcount compiles to one
+/// libgcc call per word, which costs more than these few ALU operations.
+inline std::size_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<std::size_t>((x * 0x0101010101010101ull) >> 56);
+}
+
 /// Fixed-universe dynamic bitset over indices [0, size()).
 class DynamicBitset {
  public:

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace splace {
 namespace {
@@ -151,6 +154,18 @@ TEST(Bitset, ZeroSizedUniverse) {
   EXPECT_TRUE(b.none());
   EXPECT_EQ(b.count(), 0u);
   EXPECT_TRUE(b.empty_universe());
+}
+
+TEST(Bitset, Popcount64MatchesStdPopcount) {
+  auto expect_same = [](std::uint64_t word) {
+    EXPECT_EQ(popcount64(word), static_cast<std::size_t>(std::popcount(word)))
+        << std::hex << word;
+  };
+  expect_same(0);
+  expect_same(~std::uint64_t{0});
+  for (unsigned bit = 0; bit < 64; ++bit) expect_same(std::uint64_t{1} << bit);
+  Rng rng(20161);
+  for (int i = 0; i < 10000; ++i) expect_same(rng());
 }
 
 }  // namespace

@@ -102,7 +102,10 @@ TEST(DynamicEngine, MutateUsesResultCache) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.mutate.derived_snapshot, first.mutate.derived_snapshot);
-  EXPECT_EQ(engine.metrics().mutate.count, 2u);
+  EXPECT_EQ(engine.metrics()
+                .latency[static_cast<std::size_t>(RequestType::Mutate)]
+                .count,
+            2u);
   EXPECT_EQ(engine.metrics().cache_hits, 1u);
 }
 

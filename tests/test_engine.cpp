@@ -480,7 +480,9 @@ TEST(Engine, MetricsCountersAndJson) {
   EXPECT_EQ(metrics.submitted, 2u);
   EXPECT_EQ(metrics.completed, 2u);
   EXPECT_EQ(metrics.cache_hits, 1u);
-  EXPECT_EQ(metrics.evaluate.count, 2u);
+  EXPECT_EQ(
+      metrics.latency[static_cast<std::size_t>(RequestType::Evaluate)].count,
+      2u);
   EXPECT_EQ(metrics.queue_depth, 0u);
   EXPECT_GE(metrics.queue_high_water, 1u);
   EXPECT_GT(metrics.elapsed_seconds, 0.0);

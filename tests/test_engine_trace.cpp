@@ -307,10 +307,10 @@ TEST(CacheAccounting, SetCapacityShrinkEvictsLruButKeepsHandedOutResults) {
 
 TEST(AdaptiveController, WindowCountsDistinctKeysPerType) {
   AdaptiveCacheController controller(true, 1, 100, 4, 1.0, 1000);
-  ResultCache cache(10);
-  controller.observe("a", RequestType::Place, cache);
-  controller.observe("a", RequestType::Place, cache);
-  controller.observe("b", RequestType::Localize, cache);
+  TenantCacheMap tenants(10);
+  controller.observe("a", RequestType::Place, "", tenants);
+  controller.observe("a", RequestType::Place, "", tenants);
+  controller.observe("b", RequestType::Localize, "", tenants);
   AdaptiveCacheStats stats = controller.stats();
   EXPECT_EQ(stats.working_set, 2u);
   EXPECT_EQ(
@@ -321,7 +321,7 @@ TEST(AdaptiveController, WindowCountsDistinctKeysPerType) {
             1u);
   // Slide "a" fully out of the 4-slot window.
   for (int i = 0; i < 4; ++i)
-    controller.observe("c", RequestType::Evaluate, cache);
+    controller.observe("c", RequestType::Evaluate, "", tenants);
   stats = controller.stats();
   EXPECT_EQ(stats.working_set, 1u);
   EXPECT_EQ(
@@ -333,33 +333,36 @@ TEST(AdaptiveController, WindowCountsDistinctKeysPerType) {
 TEST(AdaptiveController, ResizesPastHysteresisAndClampsToBounds) {
   // Interval 4, headroom 1.0: a decision fires every 4th observation.
   AdaptiveCacheController controller(true, 2, 6, 16, 1.0, 4);
-  ResultCache cache(2);
+  TenantCacheMap tenants(2);
   for (int i = 0; i < 4; ++i)
-    controller.observe("k" + std::to_string(i), RequestType::Place, cache);
+    controller.observe("k" + std::to_string(i), RequestType::Place, "",
+                       tenants);
   // Working set 4 > capacity 2 by more than 1/8: grow to 4.
   AdaptiveCacheStats stats = controller.stats();
   ASSERT_EQ(stats.resizes.size(), 1u);
   EXPECT_EQ(stats.resizes[0].old_capacity, 2u);
   EXPECT_EQ(stats.resizes[0].new_capacity, 4u);
   EXPECT_EQ(stats.resizes[0].working_set, 4u);
-  EXPECT_EQ(cache.capacity(), 4u);
+  EXPECT_EQ(tenants.partition("").capacity(), 4u);
   // 8 distinct keys want 8, but the bound is 6: clamp.
   for (int i = 0; i < 4; ++i)
-    controller.observe("m" + std::to_string(i), RequestType::Place, cache);
-  EXPECT_EQ(cache.capacity(), 6u);
+    controller.observe("m" + std::to_string(i), RequestType::Place, "",
+                       tenants);
+  EXPECT_EQ(tenants.partition("").capacity(), 6u);
   // Stable working set: the next decision is within hysteresis, no event.
   const std::size_t resizes_before = controller.stats().resizes.size();
   for (int i = 0; i < 4; ++i)
-    controller.observe("m" + std::to_string(i), RequestType::Place, cache);
+    controller.observe("m" + std::to_string(i), RequestType::Place, "",
+                       tenants);
   EXPECT_EQ(controller.stats().resizes.size(), resizes_before);
 }
 
 TEST(AdaptiveController, DisabledControllerIgnoresObservations) {
   AdaptiveCacheController controller(false, 0, 0, 0, 0.0, 0);
-  ResultCache cache(3);
-  controller.observe("a", RequestType::Place, cache);
+  TenantCacheMap tenants(3);
+  controller.observe("a", RequestType::Place, "", tenants);
   EXPECT_EQ(controller.stats().observed, 0u);
-  EXPECT_EQ(cache.capacity(), 3u);
+  EXPECT_EQ(tenants.partition("").capacity(), 3u);
   EXPECT_FALSE(controller.stats().enabled);
 }
 
