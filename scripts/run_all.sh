@@ -19,13 +19,13 @@ ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_localization test_sim test_sim_trace test_equivalence \
   test_objective_gain test_metric_relations test_experiment test_scenario \
   test_failure_sets test_identifiability test_distinguishability \
-  test_interest"
+  test_interest test_fusion test_instance"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio \
   test_localization test_stream test_sim test_sim_trace \
   test_failure_sets test_identifiability test_distinguishability \
-  test_interest test_metrics_text"
+  test_interest test_metrics_text test_fusion test_instance"
 
 require_suites() {
   dir="$1"; shift
@@ -63,29 +63,32 @@ ctest --test-dir build-tsan --output-on-failure \
 # resolves algorithm tokens through. The failure-set, identifiability,
 # distinguishability and interest suites cover SignatureGroups: its open
 # addressing over flat signature rows, the class-mask words and the
-# saturating set counts.
+# saturating set counts. The fusion and instance suites cover the one
+# localizer's callers that read incidence rows: evidence fusion over its two
+# path unions, and placement_incidence over the arena's deduplicated rows.
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest"
+  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.
 # The failure-set enumerator's word ORs and combination indexing (batch
 # localizer and streaming ingest) run here too, as do SignatureGroups'
 # class combinations and saturating 64/128-bit counts, the simulator's
-# event loop with and without the cascade overlay, and the metrics text
-# writer's log2 bucket shifts and label stack.
+# event loop with and without the cascade overlay, the metrics text
+# writer's log2 bucket shifts and label stack, and the fusion and instance
+# suites' incidence rows.
 cmake -B build-ubsan -G Ninja -DSPLACE_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-ubsan --target $UBSAN_SUITES
 require_suites build-ubsan $UBSAN_SUITES
 ctest --test-dir build-ubsan --output-on-failure \
-  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|MetricsText|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest"
+  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|MetricsText|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance"
 
 # Warnings-as-errors leg: one full build with the warning set promoted to
 # errors, so a new -Wall/-Wextra/-Wconversion diagnostic fails the script

@@ -44,15 +44,8 @@ RootCauseReport RootCauseAnalyzer::analyze(std::size_t root_service,
   report.blast_nodes = report.episode.down_nodes.size();
 
   // Ground-truth path states: a path is down iff it traverses a down host.
-  DynamicBitset down_bits(paths.size());
-  for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-    for (NodeId v : report.episode.down_nodes) {
-      if (paths[pi].traverses(v)) {
-        down_bits.set(pi);
-        break;
-      }
-    }
-  }
+  const DynamicBitset down_bits =
+      paths.affected_paths(report.episode.down_nodes);
 
   // Stream the evidence, one probe report per path.
   ingest_.begin_episode(0);

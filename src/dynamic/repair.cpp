@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "placement/local_search.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -137,26 +138,14 @@ RepairResult repair_placement(const ProblemInstance& derived,
     }
   }
 
-  // Phase 4: optional bounded improvement — best strictly-improving
-  // single-service move per pass, deterministic first-max order.
-  for (std::size_t pass = 0; pass < options.improvement_passes; ++pass) {
-    Best move;
-    for (std::size_t s = 0; s < n_services; ++s) {
-      Placement trial = result.placement;
-      for (NodeId h : derived.candidate_hosts(s)) {
-        if (h == result.placement[s]) continue;
-        trial[s] = h;
-        const double value =
-            evaluate_objective(kind, derived.paths_for_placement(trial), k);
-        if (value > result.objective_value &&
-            (!move.valid || value > move.gain))
-          move = Best{value, s, h, true};
-      }
-    }
-    if (!move.valid) break;
-    result.placement[move.service] = move.host;
-    result.objective_value = move.gain;
-    ++result.improvement_moves;
+  // Phase 4: optional bounded improvement — local search from the repair,
+  // one best strictly-improving single-service move per pass.
+  if (options.improvement_passes > 0) {
+    const LocalSearchResult improved = local_search_placement(
+        derived, result.placement, kind, k, options.improvement_passes);
+    result.placement = improved.placement;
+    result.objective_value = improved.objective_value;
+    result.improvement_moves = improved.moves.size();
   }
 
   return result;

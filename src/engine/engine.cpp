@@ -514,17 +514,24 @@ EngineResult Engine::execute(const LocalizeRequest& request,
       rejects(result, placement_error(instance, request.placement)))
     return result;
   try {
-    const PathSet paths = instance.paths_for_placement(request.placement);
-    DynamicBitset failed(paths.size());
+    // Every path of the placement is observed: up = the ones not failed.
+    const std::vector<DynamicBitset> incidence =
+        instance.placement_incidence(request.placement);
+    const std::size_t paths = incidence.front().size();
+    DynamicBitset failed(paths);
     for (std::uint32_t index : request.failed_paths) {
-      if (index >= paths.size()) {
+      if (index >= paths) {
         result.outcome = Outcome::RejectedBadRequest;
         result.message = "failed path index out of range";
         return result;
       }
       failed.set(index);
     }
-    LocalizationResult localization = localize(paths, failed, request.k);
+    DynamicBitset up(paths);
+    for (std::size_t i = 0; i < paths; ++i)
+      if (!failed.test(i)) up.set(i);
+    LocalizationResult localization =
+        localize(incidence, up, failed, request.k);
     result.localization.suspects = bitset_nodes(localization.suspects);
     result.localization.exonerated = bitset_nodes(localization.exonerated);
     result.localization.consistent_sets =

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace splace::engine {
 
@@ -38,35 +39,6 @@ void LatencyStats::merge(const LatencyStats& other) {
 }
 
 namespace {
-
-/// JSON string escaping for keys (tenant ids are arbitrary): quote,
-/// backslash, and every control character below 0x20 (\n, \t and \r
-/// short, the rest \u00XX).
-std::string json_escape(const std::string& raw) {
-  constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    const auto byte = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (byte < 0x20) {
-          out += "\\u00";
-          out += kHex[byte >> 4];
-          out += kHex[byte & 0xf];
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
-}
 
 /// `{"key": value, ...}` with ", " between entries; families are ignored.
 class JsonWriter final : public MetricWriter {

@@ -1,19 +1,14 @@
 #include "localization/fusion.hpp"
 
-#include <algorithm>
-
-#include "monitoring/failure_sets.hpp"
 #include "util/error.hpp"
 
 namespace splace {
 
 EvidenceFusion::EvidenceFusion(const PathSet& paths, std::size_t k)
-    : paths_(paths), k_(k) {
-  for_each_failure_set(paths.node_count(), k,
-                       [this](const std::vector<NodeId>& f) {
-                         candidates_.push_back(f);
-                       });
-}
+    : incidence_(paths.node_incidence()),
+      k_(k),
+      seen_up_(paths.size()),
+      seen_down_(paths.size()) {}
 
 EpochEvidence EvidenceFusion::full_observation(
     const PathSet& paths, const DynamicBitset& failed_paths) {
@@ -25,18 +20,18 @@ EpochEvidence EvidenceFusion::full_observation(
 }
 
 void EvidenceFusion::add_evidence(const EpochEvidence& evidence) {
-  SPLACE_EXPECTS(evidence.exercised.size() == paths_.size());
-  SPLACE_EXPECTS(evidence.failed.size() == paths_.size());
+  SPLACE_EXPECTS(evidence.exercised.size() == seen_up_.size());
+  SPLACE_EXPECTS(evidence.failed.size() == seen_up_.size());
   SPLACE_EXPECTS(evidence.failed.is_subset_of(evidence.exercised));
+  DynamicBitset up = evidence.exercised;
+  up.subtract(evidence.failed);
+  seen_up_ |= up;
+  seen_down_ |= evidence.failed;
+}
 
-  std::erase_if(candidates_, [&](const std::vector<NodeId>& candidate) {
-    const DynamicBitset hypothetical = paths_.affected_paths(candidate);
-    // Consistent iff, restricted to the exercised paths, the hypothetical
-    // failure pattern equals the observed one.
-    DynamicBitset masked = hypothetical;
-    masked &= evidence.exercised;
-    return !(masked == evidence.failed);
-  });
+std::vector<std::vector<NodeId>> EvidenceFusion::candidates() const {
+  if (seen_up_.intersects(seen_down_)) return {};
+  return localize(incidence_, seen_up_, seen_down_, k_).consistent_sets;
 }
 
 }  // namespace splace

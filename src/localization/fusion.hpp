@@ -6,6 +6,11 @@
 // shrinks ambiguity monotonically — often to a single candidate long before
 // any one epoch would localize uniquely. This is the temporal complement of
 // the spatial augmentation planner (augmentation.hpp).
+//
+// A persistent F fixes which paths fail, so the epochs combine into two
+// unions: the paths seen normal, which F must avoid, and the paths seen
+// failed, which F must cover. The fusion keeps only those, and candidates()
+// is localize() over them; a path seen both ways leaves no candidate.
 #pragma once
 
 #include <cstddef>
@@ -33,19 +38,19 @@ class EvidenceFusion {
 
   std::size_t k() const { return k_; }
 
-  /// Incorporates one epoch: keeps only candidates whose hypothetical
-  /// states match the observation on every exercised path. Requires
-  /// evidence dimensions to match the path set and failed ⊆ exercised.
+  /// Incorporates one epoch: from now on a candidate's hypothetical states
+  /// must match the observation on every exercised path. Requires evidence
+  /// dimensions to match the path set and failed ⊆ exercised.
   void add_evidence(const EpochEvidence& evidence);
 
-  /// Candidates still consistent with everything seen (sorted lists,
-  /// enumeration order).
-  const std::vector<std::vector<NodeId>>& candidates() const {
-    return candidates_;
-  }
+  /// Candidates still consistent with everything seen, built on each call:
+  /// the consistent sets of localize() over the paths seen normal and the
+  /// paths seen failed, in its order (ascending member lists,
+  /// lexicographic, a prefix before its extensions).
+  std::vector<std::vector<NodeId>> candidates() const;
 
-  bool unique() const { return candidates_.size() == 1; }
-  bool contradictory() const { return candidates_.empty(); }
+  bool unique() const { return candidates().size() == 1; }
+  bool contradictory() const { return candidates().empty(); }
 
   /// Convenience: evidence from a full-epoch scenario where every path was
   /// exercised.
@@ -53,9 +58,10 @@ class EvidenceFusion {
                                         const DynamicBitset& failed_paths);
 
  private:
-  const PathSet& paths_;
+  std::vector<DynamicBitset> incidence_;  ///< node -> path indices
   std::size_t k_;
-  std::vector<std::vector<NodeId>> candidates_;
+  DynamicBitset seen_up_;    ///< paths seen normal in some epoch
+  DynamicBitset seen_down_;  ///< paths seen failed in some epoch
 };
 
 }  // namespace splace

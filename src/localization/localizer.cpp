@@ -8,47 +8,49 @@
 
 namespace splace {
 
-LocalizationResult localize(const PathSet& paths,
-                            const DynamicBitset& failed_paths,
+LocalizationResult localize(const std::vector<DynamicBitset>& incidence,
+                            const DynamicBitset& up, const DynamicBitset& down,
                             std::size_t k) {
-  SPLACE_EXPECTS(failed_paths.size() == paths.size());
-  const std::size_t n = paths.node_count();
+  SPLACE_EXPECTS(!up.intersects(down));
+  const std::size_t n = incidence.size();
 
   LocalizationResult result;
   result.exonerated = DynamicBitset(n);
   result.suspects = DynamicBitset(n);
   result.unobserved = DynamicBitset(n);
 
-  DynamicBitset covered(n);
-  for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-    covered |= paths[pi].node_set();
-    if (!failed_paths.test(pi)) result.exonerated |= paths[pi].node_set();
-  }
+  // An exonerated node cannot be failed; any other node is fair game (an
+  // unobserved one changes no observed state but is still a legal member
+  // of F).
+  std::vector<NodeId> pool;
   for (NodeId v = 0; v < n; ++v) {
-    if (!covered.test(v)) {
-      result.unobserved.set(v);
-    } else if (!result.exonerated.test(v)) {
-      // Covered, every incident path failed -> candidate location.
+    if (incidence[v].intersects(up)) {
+      result.exonerated.set(v);
+      continue;
+    }
+    pool.push_back(v);
+    if (incidence[v].intersects(down)) {
       result.suspects.set(v);
+    } else {
+      result.unobserved.set(v);
     }
   }
-
-  // Enumerate consistent failure sets over suspects ∪ unobserved: an
-  // exonerated node cannot be failed; any other node is fair game (an
-  // unobserved one changes no path state but is still a legal member of F).
-  std::vector<NodeId> pool;
-  for (NodeId v = 0; v < n; ++v)
-    if (result.suspects.test(v) || result.unobserved.test(v))
-      pool.push_back(v);
-  // Pool nodes touch only failed paths, so affected(F) == failed_paths
-  // exactly when F covers them.
-  const std::vector<DynamicBitset> incidence = paths.node_incidence();
-  result.consistent_sets =
-      covering_failure_sets(pool, incidence, failed_paths, k);
-
+  // Pool nodes touch no up path, so F agrees with every observed state
+  // exactly when it covers the down paths.
+  result.consistent_sets = covering_failure_sets(pool, incidence, down, k);
   result.minimal_explanation =
-      minimal_explanation(incidence, result.suspects, failed_paths);
+      minimal_explanation(incidence, result.suspects, down);
   return result;
+}
+
+LocalizationResult localize(const PathSet& paths,
+                            const DynamicBitset& failed_paths,
+                            std::size_t k) {
+  SPLACE_EXPECTS(failed_paths.size() == paths.size());
+  DynamicBitset up(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i)
+    if (!failed_paths.test(i)) up.set(i);
+  return localize(paths.node_incidence(), up, failed_paths, k);
 }
 
 LocalizationResult localize(const PathSet& paths,

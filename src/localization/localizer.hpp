@@ -5,7 +5,13 @@
 // size ≤ k consistent with the evidence (the set {F} ∪ I_k(F; P)), and a
 // greedy minimal explanation in the spirit of [12], [4], [2].
 //
-// The consistent sets come from the signature-class enumerator in
+// localize(incidence, up, down, k) is the one batch localizer. It reads a
+// node -> paths incidence and the paths observed normal (up) and failed
+// (down); a path in neither was not observed and says nothing. Its callers:
+// localize(PathSet, ...) with every path observed, the engine's localize
+// requests over ProblemInstance::placement_incidence, the simulator over
+// each epoch's observed paths, and EvidenceFusion over the union of its
+// epochs. The consistent sets come from the signature-class enumerator in
 // localization/covering_sets.hpp, which the streaming ObservationIngest
 // shares: pool nodes with equal signatures on the failed paths form one
 // class, only class combinations whose signatures OR to the failed-path
@@ -25,13 +31,13 @@ namespace splace {
 struct LocalizationResult {
   /// Nodes on at least one *normal* path — provably healthy.
   DynamicBitset exonerated;
-  /// Covered, non-exonerated nodes lying on ≥1 failed path — the candidate
-  /// failure locations the evidence points at.
+  /// Non-exonerated nodes lying on ≥1 failed path — the candidate failure
+  /// locations the evidence points at.
   DynamicBitset suspects;
-  /// Nodes traversed by no path at all — unobservable, state unknown.
+  /// Nodes traversed by no observed path — state unknown.
   DynamicBitset unobserved;
-  /// Every failure set of size ≤ k consistent with the observation
-  /// (produces exactly the observed failed-path set). Ascending member
+  /// Every failure set of size ≤ k consistent with the observation (fails
+  /// every observed failed path and no observed normal one). Ascending member
   /// lists in lexicographic order, a prefix before its extensions.
   std::vector<std::vector<NodeId>> consistent_sets;
   /// A smallest-effort explanation: greedy hitting set of the failed paths
@@ -46,10 +52,18 @@ struct LocalizationResult {
   }
 };
 
-/// Localizes failures from observed path states, assuming at most k nodes
-/// failed. Consistent sets are enumerated over non-exonerated nodes only
-/// (a node on a normal path cannot be failed), which is exhaustive and
-/// equivalent to scanning all of F_k.
+/// Localizes failures from the observed paths' states, assuming at most k
+/// nodes failed. `incidence[v]` holds the indices of the paths through v;
+/// `up` and `down` are disjoint sets of those indices, the paths observed
+/// normal and failed. A node on an up path is exonerated; every other node
+/// is pooled — a suspect when a down path passes it, unobserved otherwise —
+/// and the consistent sets are the F ⊆ pool with |F| ≤ k whose paths cover
+/// `down`, which is exhaustive and equivalent to scanning all of F_k.
+LocalizationResult localize(const std::vector<DynamicBitset>& incidence,
+                            const DynamicBitset& up, const DynamicBitset& down,
+                            std::size_t k);
+
+/// Every path of `paths` observed: up = every path not in `failed_paths`.
 LocalizationResult localize(const PathSet& paths,
                             const DynamicBitset& failed_paths, std::size_t k);
 

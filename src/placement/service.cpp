@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <unordered_set>
 
 #include "placement/candidates.hpp"
 #include "util/error.hpp"
@@ -17,17 +18,6 @@ std::uint64_t next_arena_token() {
 }
 
 }  // namespace
-
-const PathSet& ServicePlan::legacy_paths(const PathArena& arena,
-                                         std::size_t i) const {
-  SPLACE_EXPECTS(i < arena_sets.size());
-  const std::lock_guard<std::mutex> lock(legacy_mutex_);
-  if (legacy_.empty()) legacy_.resize(arena_sets.size());
-  if (legacy_[i] == nullptr)
-    legacy_[i] = std::make_shared<const PathSet>(
-        arena.materialize_set(arena_sets[i]));
-  return *legacy_[i];
-}
 
 ProblemInstance::ProblemInstance(Graph graph, std::vector<Service> services)
     : ProblemInstance(std::move(graph), std::move(services),
@@ -227,9 +217,8 @@ std::size_t ProblemInstance::candidate_index(std::size_t s, NodeId h) const {
   return static_cast<std::size_t>(it - hosts.begin());
 }
 
-const PathSet& ProblemInstance::paths_for(std::size_t s, NodeId h) const {
-  check_service(s);
-  return plans_[s]->legacy_paths(*arena_, candidate_index(s, h));
+PathSet ProblemInstance::paths_for(std::size_t s, NodeId h) const {
+  return arena_paths_for(s, h).materialize();
 }
 
 ArenaPathsRef ProblemInstance::arena_paths_for(std::size_t s, NodeId h) const {
@@ -243,12 +232,35 @@ bool ProblemInstance::is_candidate(std::size_t s, NodeId h) const {
   return std::binary_search(hosts.begin(), hosts.end(), h);
 }
 
-PathSet ProblemInstance::paths_for_placement(const Placement& placement) const {
+std::vector<std::uint32_t> ProblemInstance::placement_rows(
+    const Placement& placement) const {
   SPLACE_EXPECTS(placement.size() == services_.size());
+  std::vector<std::uint32_t> rows;
+  std::unordered_set<std::uint32_t> seen;
+  for (std::size_t s = 0; s < placement.size(); ++s) {
+    const std::uint32_t set = arena_paths_for(s, placement[s]).set;
+    const std::uint32_t* set_rows = arena_->set_rows(set);
+    for (std::size_t i = 0; i < arena_->set_size(set); ++i)
+      if (seen.insert(set_rows[i]).second) rows.push_back(set_rows[i]);
+  }
+  return rows;
+}
+
+PathSet ProblemInstance::paths_for_placement(const Placement& placement) const {
   PathSet all(node_count());
-  for (std::size_t s = 0; s < placement.size(); ++s)
-    all.add_all(paths_for(s, placement[s]));
+  for (const std::uint32_t row : placement_rows(placement))
+    all.add_nodes(arena_->row_nodes(row));
   return all;
+}
+
+std::vector<DynamicBitset> ProblemInstance::placement_incidence(
+    const Placement& placement) const {
+  const std::vector<std::uint32_t> rows = placement_rows(placement);
+  std::vector<DynamicBitset> incidence(node_count(),
+                                       DynamicBitset(rows.size()));
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    for (const NodeId v : arena_->row_nodes(rows[i])) incidence[v].set(i);
+  return incidence;
 }
 
 NodeId ProblemInstance::best_qos_host(std::size_t s) const {

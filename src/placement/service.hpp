@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,9 +44,9 @@ using RouteProvider =
 ///
 /// Plans sit behind shared_ptr so a derived instance (dynamic-topology
 /// subsystem) can share whole plans — or individual arena set ids — with
-/// its parent when a delta provably left them unchanged. The hot path works
-/// on the set ids alone; the legacy PathSet form of a set is materialized
-/// lazily (and cached) only when a caller actually asks for it.
+/// its parent when a delta provably left them unchanged. A plan holds set
+/// ids only; the PathSet form of a set is materialized from the arena each
+/// time a caller asks for it.
 struct ServicePlan {
   std::vector<NodeId> candidates;        ///< H_s, ascending node id
   std::vector<std::uint32_t> worst_dist; ///< d(C_s, h) indexed by host
@@ -55,15 +54,6 @@ struct ServicePlan {
   /// arena_sets[i] aligns with candidates[i]: the PathArena set id of
   /// P(C_s, candidates[i]).
   std::vector<std::uint32_t> arena_sets;
-
-  /// The cached legacy PathSet of candidate index i (thread-safe; built on
-  /// first request). `arena` must be the owning instance's arena — or any
-  /// arena derived from it, which stores the same sets under the same ids.
-  const PathSet& legacy_paths(const PathArena& arena, std::size_t i) const;
-
- private:
-  mutable std::mutex legacy_mutex_;
-  mutable std::vector<std::shared_ptr<const PathSet>> legacy_;
 };
 
 /// Reuse telemetry for one ProblemInstance::derived call.
@@ -125,10 +115,10 @@ class ProblemInstance {
   /// Worst-case client distance d(C_s, h).
   std::uint32_t worst_distance(std::size_t s, NodeId h) const;
 
-  /// P(C_s, h): one path per client of s when hosted at h.
-  /// Requires h ∈ H_s. The PathSet form is materialized from the arena on
-  /// first request and cached; hot paths should prefer arena_paths_for.
-  const PathSet& paths_for(std::size_t s, NodeId h) const;
+  /// P(C_s, h): one path per client of s when hosted at h, materialized
+  /// from the arena (arena_paths_for(s, h).materialize()); hot paths should
+  /// prefer arena_paths_for. Requires h ∈ H_s.
+  PathSet paths_for(std::size_t s, NodeId h) const;
 
   /// Arena handle to P(C_s, h) — the allocation-free representation the
   /// greedy hot loops evaluate. Requires h ∈ H_s.
@@ -140,8 +130,16 @@ class ProblemInstance {
   /// True iff h ∈ H_s.
   bool is_candidate(std::size_t s, NodeId h) const;
 
-  /// ⋃_s P(C_s, placement[s]): the full measurement path set of a placement.
+  /// ⋃_s P(C_s, placement[s]): the full measurement path set of a
+  /// placement, each distinct path once, in first-occurrence order over the
+  /// services' sets.
   PathSet paths_for_placement(const Placement& placement) const;
+
+  /// P_v for every node v over the paths of paths_for_placement(placement),
+  /// in its order: equal to paths_for_placement(placement).node_incidence(),
+  /// read straight off the arena rows without building the PathSet.
+  std::vector<DynamicBitset> placement_incidence(
+      const Placement& placement) const;
 
   /// The host minimizing d(C_s, ·) (smallest id among ties) — the best-QoS
   /// choice for service s; always a member of H_s.
@@ -176,6 +174,9 @@ class ProblemInstance {
   std::uint64_t arena_parent_token_ = 0;
 
   std::size_t candidate_index(std::size_t s, NodeId h) const;
+  /// The placement's distinct arena rows in paths_for_placement order: rows
+  /// are interned by node set, so row-id identity is path equality.
+  std::vector<std::uint32_t> placement_rows(const Placement& placement) const;
   void check_service(std::size_t s) const;
   void check_service_inputs(const Service& svc) const;
 

@@ -1,11 +1,8 @@
 #include "portfolio/mis.hpp"
 
-#include <cstdint>
 #include <string>
-#include <unordered_set>
 
 #include "monitoring/failure_sets.hpp"
-#include "monitoring/path_arena.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
 
@@ -64,31 +61,15 @@ MisCertificate mis_certificate(const ProblemInstance& instance,
                        std::to_string(placement.size()) +
                        " != service count " +
                        std::to_string(instance.service_count()));
-  const PathArena& arena = instance.arena();
-
-  // Deduplicate the placement's rows in first-occurrence order — arena rows
-  // are interned by node set, so row-id identity *is* path equality and the
-  // resulting order matches paths_for_placement exactly.
-  std::vector<std::uint32_t> global_rows;
-  std::unordered_set<std::uint32_t> seen;
-  for (std::size_t s = 0; s < placement.size(); ++s) {
+  for (std::size_t s = 0; s < placement.size(); ++s)
     if (!instance.is_candidate(s, placement[s]))
       throw InvalidInput("mis_certificate: host " +
                          std::to_string(placement[s]) +
                          " is not a candidate for service " +
                          std::to_string(s));
-    const std::uint32_t set = instance.arena_paths_for(s, placement[s]).set;
-    const std::uint32_t* rows = arena.set_rows(set);
-    for (std::size_t i = 0; i < arena.set_size(set); ++i)
-      if (seen.insert(rows[i]).second) global_rows.push_back(rows[i]);
-  }
-
-  // incidence[v] bit i: deduplicated row i covers node v.
-  std::vector<DynamicBitset> incidence(instance.node_count(),
-                                       DynamicBitset(global_rows.size()));
-  for (std::size_t i = 0; i < global_rows.size(); ++i)
-    for (const NodeId v : arena.row_nodes(global_rows[i])) incidence[v].set(i);
-  return certify(incidence, global_rows.size(), k_max, budget);
+  const std::vector<DynamicBitset> incidence =
+      instance.placement_incidence(placement);
+  return certify(incidence, incidence.front().size(), k_max, budget);
 }
 
 }  // namespace splace::portfolio

@@ -21,9 +21,9 @@
 // Computation runs level by level under an explicit budget on |F_k|. Each
 // level is one SignatureGroups over per-node incidence rows: F_k grouped
 // over node signature classes, without listing a set. The placement
-// overload builds those rows from the placement's deduplicated arena rows,
-// with no PathSet materialized; both overloads share the one level
-// computation, so they agree by construction.
+// overload takes those rows from ProblemInstance::placement_incidence, with
+// no PathSet materialized; both overloads share the one level computation,
+// so they agree by construction.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +61,10 @@ struct MisCertificate {
 MisCertificate mis_certificate(const PathSet& paths, std::size_t k_max,
                                std::size_t budget = 500'000);
 
-/// Certificate of a placement's measurement paths, read from the arena rows
-/// (no PathSet materialization); equal to the generic overload on
-/// paths_for_placement. Requires placement[s] ∈ H_s for every service.
+/// Certificate of a placement's measurement paths, read from
+/// placement_incidence (no PathSet materialization); equal to the generic
+/// overload on paths_for_placement. Requires placement[s] ∈ H_s for every
+/// service.
 MisCertificate mis_certificate(const ProblemInstance& instance,
                                const Placement& placement, std::size_t k_max,
                                std::size_t budget = 500'000);

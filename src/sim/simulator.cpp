@@ -85,6 +85,7 @@ SimReport simulate_overlay(const ProblemInstance& instance,
 
   // The monitor's path universe: all client-server paths of the placement.
   const PathSet paths = instance.paths_for_placement(placement);
+  const std::vector<DynamicBitset> incidence = paths.node_incidence();
 
   // Request streams: one Poisson process per (service, client), each mapped
   // to its path index in `paths`.
@@ -135,9 +136,10 @@ SimReport simulate_overlay(const ProblemInstance& instance,
     return !node_up[v] || (overlay != nullptr && overlay->down(v));
   };
 
-  // Per-epoch observation buffers.
-  std::vector<bool> path_observed(paths.size(), false);
-  std::vector<bool> path_failed(paths.size(), false);
+  // Per-epoch observation buffers: the paths that carried a request, and
+  // those of them on which the monitor saw a failure.
+  DynamicBitset observed(paths.size());
+  DynamicBitset failed(paths.size());
 
   SimReport report;
   double detection_latency_sum = 0;
@@ -164,8 +166,8 @@ SimReport simulate_overlay(const ProblemInstance& instance,
                                     : config.observation_noise.false_negative;
         if (flip_prob > 0.0 && rng.bernoulli(flip_prob))
           observed_fail = !observed_fail;
-        path_observed[pi] = true;
-        path_failed[pi] = path_failed[pi] || observed_fail;
+        observed.set(pi);
+        if (observed_fail) failed.set(pi);
         schedule(event.time + exponential(1.0 / config.request_rate, rng),
                  EventKind::RequestArrival, event.subject);
         break;
@@ -199,22 +201,15 @@ SimReport simulate_overlay(const ProblemInstance& instance,
         // an overlay holds down can only speed this up).
         for (NodeId v = 0; v < instance.node_count(); ++v) {
           if (node_up[v] || active[v].detected) continue;
-          for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-            if (path_observed[pi] && path_failed[pi] &&
-                paths[pi].traverses(v)) {
-              active[v].detected = true;
-              ++report.failures_detected;
-              detection_latency_sum += event.time - active[v].fail_time;
-              break;
-            }
+          if (incidence[v].intersects(failed)) {
+            active[v].detected = true;
+            ++report.failures_detected;
+            detection_latency_sum += event.time - active[v].fail_time;
           }
         }
 
-        // Localization over the observed sub-universe, judged against the
-        // nodes effectively down at epoch end.
-        bool any_failed = false;
-        for (std::size_t pi = 0; pi < paths.size(); ++pi)
-          if (path_observed[pi] && path_failed[pi]) any_failed = true;
+        // Localization over the observed paths, judged against the nodes
+        // effectively down at epoch end.
         std::vector<NodeId> truth;
         for (NodeId v = 0; v < instance.node_count(); ++v)
           if (is_down(v)) truth.push_back(v);
@@ -223,26 +218,15 @@ SimReport simulate_overlay(const ProblemInstance& instance,
         if (trace) {
           record.time = event.time;
           record.down_nodes = truth;
-          for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-            if (path_observed[pi]) ++record.observed_paths;
-            if (path_observed[pi] && path_failed[pi]) ++record.failed_paths;
-          }
+          record.observed_paths = observed.count();
+          record.failed_paths = failed.count();
         }
 
-        if (any_failed && truth.size() <= config.k) {
-          PathSet observed_paths(instance.node_count());
-          std::vector<bool> states;
-          for (std::size_t pi = 0; pi < paths.size(); ++pi) {
-            if (!path_observed[pi]) continue;
-            observed_paths.add(paths[pi]);
-            states.push_back(path_failed[pi]);
-          }
-          DynamicBitset failed_bits(observed_paths.size());
-          for (std::size_t i = 0; i < states.size(); ++i)
-            if (states[i]) failed_bits.set(i);
-
+        if (failed.any() && truth.size() <= config.k) {
+          DynamicBitset up = observed;
+          up.subtract(failed);
           const LocalizationResult loc =
-              localize(observed_paths, failed_bits, config.k);
+              localize(incidence, up, failed, config.k);
           ++report.localizations_attempted;
           if (loc.unique()) ++report.localizations_unique;
           ambiguity_sum += static_cast<double>(loc.ambiguity());
@@ -260,8 +244,8 @@ SimReport simulate_overlay(const ProblemInstance& instance,
         }
         if (trace) trace->epochs.push_back(std::move(record));
 
-        std::fill(path_observed.begin(), path_observed.end(), false);
-        std::fill(path_failed.begin(), path_failed.end(), false);
+        observed.clear();
+        failed.clear();
         schedule(event.time + config.epoch, EventKind::EpochEnd, 0);
         break;
       }

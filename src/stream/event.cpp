@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace splace::stream {
 
@@ -124,7 +125,7 @@ std::string to_json(const StreamEvent& event) {
     }
     void operator()(const PortfolioEvent& e) const {
       append_header(out, EventKind::Portfolio, e.header);
-      out << ", \"winner\": \"" << e.winner
+      out << ", \"winner\": \"" << json_escape(e.winner)
           << "\", \"algorithms\": " << e.algorithms
           << ", \"objective_value\": " << e.objective_value
           << ", \"max_identifiable_failures\": "

@@ -54,4 +54,30 @@ std::string to_lower(std::string text) {
   return text;
 }
 
+std::string json_escape(std::string_view raw) {
+  constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(raw.size());
+  for (const char c : raw) {
+    const auto byte = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xf];
+        } else {
+          out += c;
+        }
+        break;
+    }
+  }
+  return out;
+}
+
 }  // namespace splace

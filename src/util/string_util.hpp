@@ -38,4 +38,9 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// `text` with ASCII letters lowered (locale-independent).
 std::string to_lower(std::string text);
 
+/// `raw` escaped for the inside of a JSON string: quote, backslash, and
+/// every control character below 0x20 (\n, \t and \r short, the rest
+/// \u00XX). Other bytes pass through unchanged.
+std::string json_escape(std::string_view raw);
+
 }  // namespace splace

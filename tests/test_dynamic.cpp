@@ -19,9 +19,11 @@
 #include "graph/generators.hpp"
 #include "monitoring/objective.hpp"
 #include "placement/greedy.hpp"
+#include "placement/local_search.hpp"
 #include "topology/catalog.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
+#include "util/string_util.hpp"
 
 namespace splace {
 namespace {
@@ -490,6 +492,51 @@ TEST(DynamicRepair, ImprovementPassesNeverHurt) {
   const double check = evaluate_objective(
       kind, derived->paths_for_placement(polished.placement), 1);
   EXPECT_DOUBLE_EQ(polished.objective_value, check);
+}
+
+TEST(DynamicRepair, ImprovementPassesAreLocalSearch) {
+  // The improvement phase is local search from the greedy repair, bounded
+  // to one move per pass: same placement, value and move count.
+  std::size_t searches_that_moved = 0;
+  for (const char* name : {"abovenet", "tiscali"}) {
+    for (const double alpha : {0.4, 0.8}) {
+      const ProblemInstance parent = catalog_instance(name, alpha);
+      Rng rng(29);
+      for (std::size_t round = 0; round < 3; ++round) {
+        const TopologyDelta delta =
+            random_link_delta(parent.graph(), 1 + round % 2, round % 2, rng);
+        if (delta.empty()) continue;
+        const std::shared_ptr<const ProblemInstance> derived =
+            derive_instance(parent, delta);
+        const std::vector<bool> touched = touched_services(parent, *derived);
+        for (const ObjectiveKind kind :
+             {ObjectiveKind::Coverage, ObjectiveKind::Identifiability,
+              ObjectiveKind::Distinguishability}) {
+          for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+            SCOPED_TRACE(concat(name, " alpha ", std::to_string(alpha),
+                                " round ", std::to_string(round), " ",
+                                to_string(kind), " k ", std::to_string(k)));
+            const GreedyResult trace = greedy_placement(parent, kind, k);
+            const RepairResult plain =
+                repair_placement(*derived, kind, k, trace, touched);
+            for (const std::size_t passes : {std::size_t{1}, std::size_t{3}}) {
+              RepairOptions options;
+              options.improvement_passes = passes;
+              const RepairResult polished = repair_placement(
+                  *derived, kind, k, trace, touched, options);
+              const LocalSearchResult search = local_search_placement(
+                  *derived, plain.placement, kind, k, passes);
+              EXPECT_EQ(polished.placement, search.placement);
+              EXPECT_EQ(polished.objective_value, search.objective_value);
+              EXPECT_EQ(polished.improvement_moves, search.moves.size());
+              if (!search.moves.empty()) ++searches_that_moved;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(searches_that_moved, 0u);
 }
 
 }  // namespace

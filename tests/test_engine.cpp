@@ -264,38 +264,60 @@ TEST(Engine, BruteForceAtK2IsBoundedBySearchWork) {
 
 TEST(Engine, EvaluateAndLocalizeMatchDirectLibraryCalls) {
   Fixture fx;
-  const Placement placement = best_qos_placement(fx.instance());
-  const PathSet paths = fx.instance().paths_for_placement(placement);
-  const MetricReport direct_metrics = evaluate_paths(paths, 1);
+  // Path 0-1-2-3-4 with both services at host 2: they share the path
+  // {0, 1, 2}, so the placement's path indices skip b's second path.
+  Service a;
+  a.name = "a";
+  a.clients = {0, 4};
+  a.alpha = 1.0;
+  Service b;
+  b.name = "b";
+  b.clients = {3, 0};
+  b.alpha = 1.0;
+  const auto shared = fx.registry->add("shared", path_graph(5), {a, b});
+  const std::vector<
+      std::pair<std::shared_ptr<const TopologySnapshot>, Placement>>
+      cases = {{fx.snapshot, best_qos_placement(fx.instance())},
+               {shared, Placement{2, 2}}};
 
   Engine engine(fx.registry, EngineConfig{2, 256, 64});
-  EvaluateRequest evaluate;
-  evaluate.snapshot = fx.snapshot->hash();
-  evaluate.placement = placement;
-  const EngineResult evaluated = engine.submit(evaluate).get();
-  ASSERT_TRUE(evaluated.ok()) << evaluated.message;
-  EXPECT_EQ(evaluated.metrics.coverage, direct_metrics.coverage);
-  EXPECT_EQ(evaluated.metrics.identifiability,
-            direct_metrics.identifiability);
-  EXPECT_EQ(evaluated.metrics.distinguishability,
-            direct_metrics.distinguishability);
+  for (const auto& [snapshot, placement] : cases) {
+    SCOPED_TRACE(snapshot->name());
+    const PathSet paths = snapshot->instance().paths_for_placement(placement);
+    const MetricReport direct_metrics = evaluate_paths(paths, 1);
 
-  Rng rng(7);
-  const FailureScenario scenario = random_scenario(paths, 2, rng);
-  const LocalizationResult direct =
-      localize(paths, scenario.failed_paths, 1);
-  LocalizeRequest request;
-  request.snapshot = fx.snapshot->hash();
-  request.placement = placement;
-  for (std::size_t p : scenario.failed_paths.to_indices())
-    request.failed_paths.push_back(static_cast<std::uint32_t>(p));
-  const EngineResult localized = engine.submit(request).get();
-  ASSERT_TRUE(localized.ok()) << localized.message;
-  EXPECT_EQ(localized.localization.suspects, nodes_of(direct.suspects));
-  EXPECT_EQ(localized.localization.exonerated, nodes_of(direct.exonerated));
-  EXPECT_EQ(localized.localization.consistent_sets, direct.consistent_sets);
-  EXPECT_EQ(localized.localization.minimal_explanation,
-            direct.minimal_explanation);
+    EvaluateRequest evaluate;
+    evaluate.snapshot = snapshot->hash();
+    evaluate.placement = placement;
+    const EngineResult evaluated = engine.submit(evaluate).get();
+    ASSERT_TRUE(evaluated.ok()) << evaluated.message;
+    EXPECT_EQ(evaluated.metrics.coverage, direct_metrics.coverage);
+    EXPECT_EQ(evaluated.metrics.identifiability,
+              direct_metrics.identifiability);
+    EXPECT_EQ(evaluated.metrics.distinguishability,
+              direct_metrics.distinguishability);
+
+    Rng rng(7);
+    for (const std::size_t failures : {std::size_t{2}, std::size_t{1}}) {
+      const FailureScenario scenario = random_scenario(paths, failures, rng);
+      const LocalizationResult direct =
+          localize(paths, scenario.failed_paths, 1);
+      LocalizeRequest request;
+      request.snapshot = snapshot->hash();
+      request.placement = placement;
+      for (std::size_t p : scenario.failed_paths.to_indices())
+        request.failed_paths.push_back(static_cast<std::uint32_t>(p));
+      const EngineResult localized = engine.submit(request).get();
+      ASSERT_TRUE(localized.ok()) << localized.message;
+      EXPECT_EQ(localized.localization.suspects, nodes_of(direct.suspects));
+      EXPECT_EQ(localized.localization.exonerated,
+                nodes_of(direct.exonerated));
+      EXPECT_EQ(localized.localization.consistent_sets,
+                direct.consistent_sets);
+      EXPECT_EQ(localized.localization.minimal_explanation,
+                direct.minimal_explanation);
+    }
+  }
 }
 
 TEST(Engine, BadRequestsAreRejectedNotThrown) {

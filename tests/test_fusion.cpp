@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "localization/observation.hpp"
 #include "monitoring/failure_sets.hpp"
 #include "test_helpers.hpp"
@@ -14,6 +16,29 @@ DynamicBitset bits(std::size_t n, const std::vector<std::size_t>& idx) {
   DynamicBitset b(n);
   for (std::size_t i : idx) b.set(i);
   return b;
+}
+
+/// Fusion by its definition, the oracle: list F_k and keep every F whose
+/// affected paths, masked to each epoch's exercised paths, equal that
+/// epoch's failed paths. Sorted.
+std::vector<std::vector<NodeId>> filtered_fk(
+    const PathSet& paths, std::size_t k,
+    const std::vector<EpochEvidence>& epochs) {
+  std::vector<std::vector<NodeId>> kept;
+  for_each_failure_set(
+      paths.node_count(), k, [&](const std::vector<NodeId>& f) {
+        const DynamicBitset affected = paths.affected_paths(f);
+        for (const EpochEvidence& epoch : epochs)
+          if (!((affected & epoch.exercised) == epoch.failed)) return;
+        kept.push_back(f);
+      });
+  std::sort(kept.begin(), kept.end());
+  return kept;
+}
+
+std::vector<std::vector<NodeId>> sorted(std::vector<std::vector<NodeId>> sets) {
+  std::sort(sets.begin(), sets.end());
+  return sets;
 }
 
 TEST(Fusion, StartsWithAllOfFk) {
@@ -39,18 +64,59 @@ TEST(Fusion, ValidatesEvidenceDimensions) {
 
 TEST(Fusion, FullObservationMatchesLocalizer) {
   Rng rng(1);
-  for (int trial = 0; trial < 10; ++trial) {
+  for (int trial = 0; trial < 50; ++trial) {
     const std::size_t n = 5 + rng.index(4);
     const PathSet paths =
         testing::random_path_set(n, 2 + rng.index(6), 3, rng);
     const FailureScenario scenario = random_scenario(paths, 1, rng);
-
-    EvidenceFusion fusion(paths, 1);
-    fusion.add_evidence(
-        EvidenceFusion::full_observation(paths, scenario.failed_paths));
-    const LocalizationResult loc = localize(paths, scenario, 1);
-    EXPECT_EQ(fusion.candidates(), loc.consistent_sets);
+    for (std::size_t k = 1; k <= 3; ++k) {
+      EvidenceFusion fusion(paths, k);
+      fusion.add_evidence(
+          EvidenceFusion::full_observation(paths, scenario.failed_paths));
+      const LocalizationResult loc = localize(paths, scenario, k);
+      EXPECT_EQ(fusion.candidates(), loc.consistent_sets)
+          << "trial " << trial << " k " << k;
+    }
   }
+}
+
+TEST(Fusion, PartialEpochsMatchFilteredFk) {
+  // Random partial epochs of a persistent failure; now and then one
+  // exercised path is misreported, so some runs see a path both ways.
+  Rng rng(11);
+  std::size_t contradictory = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 2 + rng.index(7);
+    const std::size_t k = 1 + static_cast<std::size_t>(trial) % 3;
+    const PathSet paths =
+        testing::random_path_set(n, 1 + rng.index(8), 3, rng);
+    const FailureScenario truth =
+        random_scenario(paths, 1 + rng.index(std::min(n, k + 1)), rng);
+
+    EvidenceFusion fusion(paths, k);
+    std::vector<EpochEvidence> epochs;
+    const std::size_t epoch_count = 1 + rng.index(4);
+    for (std::size_t e = 0; e < epoch_count; ++e) {
+      EpochEvidence epoch;
+      epoch.exercised = DynamicBitset(paths.size());
+      epoch.failed = DynamicBitset(paths.size());
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        if (!rng.bernoulli(0.6)) continue;
+        epoch.exercised.set(i);
+        if (truth.failed_paths.test(i) != rng.bernoulli(0.1))
+          epoch.failed.set(i);
+      }
+      fusion.add_evidence(epoch);
+      epochs.push_back(epoch);
+      const std::vector<std::vector<NodeId>> candidates = fusion.candidates();
+      EXPECT_EQ(sorted(candidates), filtered_fk(paths, k, epochs))
+          << "trial " << trial << " epoch " << e;
+      EXPECT_EQ(fusion.contradictory(), candidates.empty());
+      EXPECT_EQ(fusion.unique(), candidates.size() == 1);
+    }
+    if (fusion.contradictory()) ++contradictory;
+  }
+  EXPECT_GT(contradictory, 0u);
 }
 
 TEST(Fusion, PartialObservationIsWeaker) {
@@ -99,13 +165,12 @@ TEST(Fusion, SequentialEpochsShrinkMonotonically) {
       if (scenario.failed_paths.test(i)) e.failed.set(i);
     }
     fusion.add_evidence(e);
-    EXPECT_LE(fusion.candidates().size(), last);
-    last = fusion.candidates().size();
+    const std::vector<std::vector<NodeId>> candidates = fusion.candidates();
+    EXPECT_LE(candidates.size(), last);
+    last = candidates.size();
     // Truth always survives consistent evidence.
-    EXPECT_TRUE(std::find(fusion.candidates().begin(),
-                          fusion.candidates().end(),
-                          scenario.failed_nodes) !=
-                fusion.candidates().end());
+    EXPECT_TRUE(std::find(candidates.begin(), candidates.end(),
+                          scenario.failed_nodes) != candidates.end());
   }
 }
 
@@ -117,6 +182,21 @@ TEST(Fusion, ContradictoryEvidenceEmptiesCandidates) {
   impossible.failed = bits(2, {0});  // {0} failed but superset path normal
   fusion.add_evidence(impossible);
   EXPECT_TRUE(fusion.contradictory());
+
+  // A path seen failed in one epoch and normal in another.
+  const PathSet shared = testing::make_paths(4, {{0, 1}, {1, 2}, {3}});
+  EvidenceFusion flapping(shared, 3);
+  EpochEvidence failed;
+  failed.exercised = bits(3, {0});
+  failed.failed = bits(3, {0});
+  flapping.add_evidence(failed);
+  EXPECT_FALSE(flapping.contradictory());
+  EpochEvidence normal;
+  normal.exercised = bits(3, {0});
+  normal.failed = bits(3, {});
+  flapping.add_evidence(normal);
+  EXPECT_TRUE(flapping.contradictory());
+  EXPECT_TRUE(filtered_fk(shared, 3, {failed, normal}).empty());
 }
 
 TEST(Fusion, DifferentEpochViewsCombineToUnique) {

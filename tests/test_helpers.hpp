@@ -64,6 +64,22 @@ inline ProblemInstance random_instance(std::size_t nodes, std::size_t edges,
   return ProblemInstance(std::move(g), std::move(services));
 }
 
+/// A 200-node preferential-attachment instance whose first service has 70
+/// clients, so its candidate sets hold more than 64 paths: no signature
+/// word, no FastK1Evaluator, and its greedy gains take the clone path.
+inline ProblemInstance wide_instance() {
+  Rng rng(2024);
+  Graph g = preferential_attachment(200, 2, rng);
+  std::vector<NodeId> pool(g.node_count());
+  for (NodeId v = 0; v < pool.size(); ++v) pool[v] = v;
+  std::vector<Service> services(3);
+  services[0].clients = rng.sample(pool, 70);
+  services[1].clients = rng.sample(pool, 4);
+  services[2].clients = rng.sample(pool, 4);
+  for (Service& svc : services) svc.alpha = 0.5;
+  return ProblemInstance(std::move(g), std::move(services));
+}
+
 }  // namespace splace::testing
 
 namespace splace::topology {

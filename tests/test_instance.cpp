@@ -4,6 +4,7 @@
 
 #include "graph/generators.hpp"
 #include "monitoring/coverage.hpp"
+#include "placement/baselines.hpp"
 #include "placement/candidates.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -126,6 +127,35 @@ TEST(Instance, PlacementPathsDeduplicateAcrossServices) {
   const ProblemInstance inst(path_graph(3), {a, b});
   const PathSet paths = inst.paths_for_placement({2, 2});
   EXPECT_EQ(paths.size(), 1u);  // both produce {0,1,2}
+}
+
+TEST(Instance, PlacementIncidenceMatchesPathSet) {
+  // Path 0-1-2-3-4, both services at host 2: they share the path {0, 1, 2},
+  // which b lists second and the placement holds once.
+  Service a;
+  a.clients = {0, 4};
+  a.alpha = 1.0;
+  Service b;
+  b.clients = {3, 0};
+  b.alpha = 1.0;
+  const ProblemInstance shared(path_graph(5), {a, b});
+  const Placement both_at_2{2, 2};
+  const std::vector<DynamicBitset> incidence =
+      shared.placement_incidence(both_at_2);
+  ASSERT_EQ(incidence.size(), 5u);
+  EXPECT_EQ(incidence.front().size(), 3u);  // {0,1,2}, {2,3,4}, {2,3}
+  EXPECT_EQ(incidence, shared.paths_for_placement(both_at_2).node_incidence());
+
+  // A service with 70 clients: more than 64 paths, several words per row.
+  const ProblemInstance wide = testing::wide_instance();
+  Rng rng(6);
+  for (const Placement& placement :
+       {best_qos_placement(wide), random_placement(wide, rng),
+        random_placement(wide, rng)}) {
+    const PathSet paths = wide.paths_for_placement(placement);
+    ASSERT_GT(paths.size(), 64u);
+    EXPECT_EQ(wide.placement_incidence(placement), paths.node_incidence());
+  }
 }
 
 TEST(Instance, ValidationErrors) {

@@ -87,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPathSets,
 // ---------------------------------------------------------------------------
 
 class CatalogInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(CatalogInvariants, PlacementsRespectQosAndMetricsAreOrdered) {
   const auto [name, alpha] = GetParam();
@@ -118,7 +118,9 @@ TEST_P(CatalogInvariants, PlacementsRespectQosAndMetricsAreOrdered) {
 
 INSTANTIATE_TEST_SUITE_P(
     NetworksAndAlphas, CatalogInvariants,
-    ::testing::Combine(::testing::Values("Abovenet", "Tiscali", "AT&T"),
+    ::testing::Combine(::testing::Values(std::string("Abovenet"),
+                                         std::string("Tiscali"),
+                                         std::string("AT&T")),
                        ::testing::Values(0.0, 0.5, 1.0)),
     [](const auto& param_info) {
       std::string name = std::get<0>(param_info.param);

@@ -276,24 +276,8 @@ TEST(PathArenaProperty, Rocketfuel) {
   expect_placement_evaluation_matches(g, 4);
 }
 
-/// A 200-node preferential-attachment instance whose first service has 70
-/// clients, so its candidate sets hold more than 64 paths: no signature
-/// word, no FastK1Evaluator, and its greedy gains take the clone path.
-ProblemInstance wide_instance() {
-  Rng rng(2024);
-  Graph g = preferential_attachment(200, 2, rng);
-  std::vector<NodeId> pool(g.node_count());
-  for (NodeId v = 0; v < pool.size(); ++v) pool[v] = v;
-  std::vector<Service> services(3);
-  services[0].clients = rng.sample(pool, 70);
-  services[1].clients = rng.sample(pool, 4);
-  services[2].clients = rng.sample(pool, 4);
-  for (Service& svc : services) svc.alpha = 0.5;
-  return ProblemInstance(std::move(g), std::move(services));
-}
-
 TEST(PathArenaInstance, WideSetEvaluationMatchesLegacy) {
-  const ProblemInstance inst = wide_instance();
+  const ProblemInstance inst = testing::wide_instance();
   ASSERT_GT(inst.arena_paths_for(0, inst.best_qos_host(0)).size(), 64u);
   Rng rng(5);
   std::vector<Placement> placements = {best_qos_placement(inst)};
@@ -312,7 +296,7 @@ TEST(PathArenaInstance, WideSetEvaluationMatchesLegacy) {
 TEST(PathArenaInstance, WideSetGreedyPlacementsAreUnchanged) {
   // Recorded from the path-by-path partition, before greedy commits went
   // through the arena.
-  const ProblemInstance inst = wide_instance();
+  const ProblemInstance inst = testing::wide_instance();
   EXPECT_EQ(greedy_placement(inst, ObjectiveKind::Distinguishability)
                 .placement,
             (Placement{7, 150, 84}));

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -495,6 +500,106 @@ TEST(EnginePortfolio, PublishesPortfolioEvent) {
   // Cache hits replay the stored payload without a fresh event.
   (void)engine.submit(fx.request()).get();
   EXPECT_TRUE(subscription->poll().empty());
+}
+
+/// Parses a flat JSON object whose members are strings, numbers or
+/// booleans into key -> value (strings decoded, the rest as written).
+/// nullopt on any syntax error, such as an unescaped quote in a string or
+/// an escape JSON does not define.
+std::optional<std::map<std::string, std::string>> parse_flat_json(
+    const std::string& text) {
+  std::size_t i = 0;
+  const auto skip_spaces = [&] {
+    while (i < text.size() && text[i] == ' ') ++i;
+  };
+  const auto read_string = [&]() -> std::optional<std::string> {
+    if (i >= text.size() || text[i] != '"') return std::nullopt;
+    std::string out;
+    for (++i; i < text.size(); ++i) {
+      const char c = text[i];
+      if (c == '"') {
+        ++i;
+        return out;
+      }
+      if (static_cast<unsigned char>(c) < 0x20) return std::nullopt;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (++i == text.size()) return std::nullopt;
+      switch (text[i]) {
+        case '"': case '\\': case '/': out += text[i]; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'u': {
+          const std::string hex = text.substr(i + 1, 4);
+          if (hex.size() != 4 || hex.compare(0, 2, "00") != 0 ||
+              !std::all_of(hex.begin(), hex.end(), [](char h) {
+                return std::isxdigit(static_cast<unsigned char>(h)) != 0;
+              }))
+            return std::nullopt;
+          out += static_cast<char>(std::stoi(hex, nullptr, 16));
+          i += 4;
+          break;
+        }
+        default: return std::nullopt;
+      }
+    }
+    return std::nullopt;
+  };
+
+  std::map<std::string, std::string> members;
+  if (text.empty() || text[i++] != '{') return std::nullopt;
+  while (true) {
+    skip_spaces();
+    const std::optional<std::string> key = read_string();
+    if (!key) return std::nullopt;
+    skip_spaces();
+    if (i >= text.size() || text[i++] != ':') return std::nullopt;
+    skip_spaces();
+    std::string value;
+    if (i < text.size() && text[i] == '"') {
+      const std::optional<std::string> decoded = read_string();
+      if (!decoded) return std::nullopt;
+      value = *decoded;
+    } else {
+      while (i < text.size() && text[i] != ',' && text[i] != '}')
+        value += text[i++];
+      char* end = nullptr;
+      static_cast<void>(std::strtod(value.c_str(), &end));
+      if (value != "true" && value != "false" &&
+          (value.empty() || *end != '\0'))
+        return std::nullopt;
+    }
+    members[*key] = value;
+    skip_spaces();
+    if (i >= text.size()) return std::nullopt;
+    if (text[i] == '}') return ++i == text.size()
+                                   ? std::optional(members)
+                                   : std::nullopt;
+    if (text[i++] != ',') return std::nullopt;
+  }
+}
+
+TEST(PortfolioEvent, JsonParsesForAnyWinnerName) {
+  // register_algorithm accepts any non-empty name, so the winner may hold
+  // quotes, backslashes and control characters.
+  stream::PortfolioEvent event;
+  event.header.sequence = 4;
+  event.winner = "my\"algo\\v2";
+  event.algorithms = 3;
+  event.objective_value = 12.5;
+  for (const std::string& winner : {event.winner, std::string("tab\tnew\nline\x01")}) {
+    event.winner = winner;
+    const std::string json = stream::to_json(event);
+    const auto members = parse_flat_json(json);
+    ASSERT_TRUE(members.has_value()) << json;
+    EXPECT_EQ(members->at("kind"), "portfolio");
+    EXPECT_EQ(members->at("winner"), winner);
+    EXPECT_EQ(members->at("algorithms"), "3");
+    EXPECT_EQ(members->at("objective_value"), "12.5");
+  }
 }
 
 // --- Replay grammar: `algo` directive and `portfolio` request lines. ---
