@@ -1,8 +1,7 @@
 // Greedy-placement hot-path benchmark: clone-per-candidate (the seed
-// implementation's cost model) vs allocation-free gain evaluation vs the
-// thread-pool-parallel arg-max, on a Rocketfuel-scale instance. Emits the
-// perf trajectory's first machine-readable baseline (BENCH_greedy.json) in
-// addition to the human-readable table.
+// implementation's cost model) vs allocation-free gain evaluation, on a
+// Rocketfuel-scale instance. Emits BENCH_greedy.json in addition to the
+// human-readable table.
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -102,14 +101,10 @@ std::vector<RunResult> run_objective(const ProblemInstance& inst,
     return greedy_placement(
         inst,
         std::make_unique<CloneEvalState>(
-            make_objective_state(kind, inst.node_count(), 1)),
-        PlacementOptions{1});
+            make_objective_state(kind, inst.node_count(), 1)));
   }));
   runs.push_back(timed_run("gain_sequential", inst, [&] {
-    return greedy_placement(inst, kind, 1, PlacementOptions{1});
-  }));
-  runs.push_back(timed_run("gain_parallel", inst, [&] {
-    return greedy_placement(inst, kind, 1, PlacementOptions{0});
+    return greedy_placement(inst, kind, 1);
   }));
   return runs;
 }
@@ -128,11 +123,9 @@ void append_json(JsonWriter& json, ObjectiveKind kind,
         .field("objective_value", r.objective_value)
         .end_object();
   json.end_array();
-  json.field("speedup_parallel_vs_clone",
-             runs.front().wall_seconds / runs.back().wall_seconds)
-      .field("placements_identical",
-             runs[0].placement == runs[1].placement &&
-                 runs[1].placement == runs[2].placement)
+  json.field("speedup_gain_vs_clone",
+             runs[0].wall_seconds / runs[1].wall_seconds)
+      .field("placements_identical", runs[0].placement == runs[1].placement)
       .end_object();
 }
 
@@ -179,19 +172,15 @@ int main() {
     }
     std::cout << "--- objective: " << to_string(kind) << " ---\n";
     table.print(std::cout);
-    std::cout << "speedup (gain_parallel vs clone_sequential): "
-              << format_double(
-                     runs.front().wall_seconds / runs.back().wall_seconds, 1)
+    std::cout << "speedup (gain_sequential vs clone_sequential): "
+              << format_double(runs[0].wall_seconds / runs[1].wall_seconds, 1)
               << "x\n\n";
-    all_identical = all_identical &&
-                    runs[0].placement == runs[1].placement &&
-                    runs[1].placement == runs[2].placement;
+    all_identical = all_identical && runs[0].placement == runs[1].placement;
     append_json(json, kind, runs);
   }
   json.end_array().end_object();
 
-  write_bench_json("BENCH_greedy.json", "greedy_hot_path",
-                   bench_thread_count(), json.str());
+  write_bench_json("BENCH_greedy.json", "greedy_hot_path", 1, json.str());
 
   if (!all_identical) {
     std::cerr << "ERROR: configurations produced different placements\n";

@@ -19,13 +19,13 @@ ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_localization test_sim test_sim_trace test_equivalence \
   test_objective_gain test_metric_relations test_experiment test_scenario \
   test_failure_sets test_identifiability test_distinguishability \
-  test_interest test_fusion test_instance"
+  test_interest test_fusion test_instance test_graph_io"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio \
   test_localization test_stream test_sim test_sim_trace \
   test_failure_sets test_identifiability test_distinguishability \
-  test_interest test_metrics_text test_fusion test_instance"
+  test_interest test_metrics_text test_fusion test_instance test_graph_io"
 
 require_suites() {
   dir="$1"; shift
@@ -38,17 +38,17 @@ require_suites() {
 }
 
 # TSan pass over the concurrency-sensitive suites: the thread pool itself,
-# the parallel placement engines (greedy / lazy greedy / brute force, whose
-# chunked sweep merges under a mutex), the serving engine (snapshot
-# registry, result cache, admission control), and the dynamic-topology
-# subsystem (incremental derives, placement repair).
+# parallel_for under brute force's sweep on a caller-owned pool (its chunks
+# merge under a mutex), the serving engine (snapshot registry, result cache,
+# admission control), the shards, and the dynamic-topology subsystem
+# (incremental derives, placement repair).
 cmake -B build-tsan -G Ninja -DSPLACE_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-tsan --target $TSAN_SUITES
 require_suites build-tsan $TSAN_SUITES
 ctest --test-dir build-tsan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|BruteForce"
+  -R "ThreadPool|ParallelFor|ParallelChunkCount|Greedy|Determinism|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|BruteForce"
 
 # ASan pass over the serving layer: the engine moves results through
 # futures, a shared LRU cache, and snapshots that share routing trees and
@@ -66,13 +66,15 @@ ctest --test-dir build-tsan --output-on-failure \
 # saturating set counts. The fusion and instance suites cover the one
 # localizer's callers that read incidence rows: evidence fusion over its two
 # path unions, and placement_incidence over the arena's deduplicated rows.
+# The graph-io suite joins the scenario and replay suites for the one number
+# parser of the line grammars.
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelReduce|ParallelChunkCount|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance"
+  -R "ThreadPool|ParallelFor|ParallelChunkCount|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance|GraphIo"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.
@@ -80,15 +82,15 @@ ctest --test-dir build-asan --output-on-failure \
 # localizer and streaming ingest) run here too, as do SignatureGroups'
 # class combinations and saturating 64/128-bit counts, the simulator's
 # event loop with and without the cascade overlay, the metrics text
-# writer's log2 bucket shifts and label stack, and the fusion and instance
-# suites' incidence rows.
+# writer's log2 bucket shifts and label stack, the fusion and instance
+# suites' incidence rows, and the edge-list reader's node-id bound.
 cmake -B build-ubsan -G Ninja -DSPLACE_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-ubsan --target $UBSAN_SUITES
 require_suites build-ubsan $UBSAN_SUITES
 ctest --test-dir build-ubsan --output-on-failure \
-  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|MetricsText|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance"
+  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|MetricsText|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance|GraphIo"
 
 # Warnings-as-errors leg: one full build with the warning set promoted to
 # errors, so a new -Wall/-Wextra/-Wconversion diagnostic fails the script

@@ -101,24 +101,6 @@ Request& Request::seed(std::uint64_t rng_seed) {
   return *this;
 }
 
-Request& Request::threads(std::size_t count) {
-  if (count < 1)
-    throw InvalidInput("Request::threads: count must be >= 1");
-  std::visit(
-      [&](auto& request) {
-        using T = std::decay_t<decltype(request)>;
-        if constexpr (std::is_same_v<T, engine::PlaceRequest> ||
-                      std::is_same_v<T, engine::PortfolioRequest>)
-          request.threads = count;
-        else
-          throw InvalidInput(
-              "Request::threads applies only to place and portfolio "
-              "requests");
-      },
-      request_);
-  return *this;
-}
-
 Request& Request::algorithm(std::string name) {
   require_registered(name);
   std::visit(

@@ -49,9 +49,6 @@ class Request {
   Request& deadline(double milliseconds);
   /// RNG seed (place / portfolio; consumed by seed-taking algorithms only).
   Request& seed(std::uint64_t rng_seed);
-  /// Intra-request worker threads >= 1 (place / portfolio; never changes
-  /// results).
-  Request& threads(std::size_t count);
   /// Routes a place request through the pluggable algorithm registry under
   /// `name` (placement/algorithm.hpp), or appends `name` to a portfolio's
   /// algorithm list. Validated eagerly: an unregistered name throws

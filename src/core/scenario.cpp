@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/experiment.hpp"
+#include "graph/io.hpp"
 #include "placement/algorithm.hpp"
 #include "placement/branch_bound.hpp"
 #include "placement/capacity.hpp"
@@ -15,41 +16,22 @@ namespace splace {
 
 namespace {
 
+std::string where(std::size_t line) {
+  return "scenario line " + std::to_string(line);
+}
+
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw InvalidInput("scenario line " + std::to_string(line) + ": " +
-                     message);
-}
-
-double parse_double(std::size_t line, const std::string& token) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) fail(line, "trailing junk in '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "expected a number, got '" + token + "'");
-  }
-}
-
-std::uint64_t parse_uint(std::size_t line, const std::string& token) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long value = std::stoull(token, &used);
-    if (used != token.size() || token.front() == '-')
-      fail(line, "expected a non-negative integer, got '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "expected a non-negative integer, got '" + token + "'");
-  }
+  throw InvalidInput(where(line) + ": " + message);
 }
 
 Edge parse_edge(std::size_t line, const std::string& token) {
   const auto dash = token.find('-');
   if (dash == std::string::npos || dash == 0 || dash + 1 == token.size())
     fail(line, "edge must look like U-V, got '" + token + "'");
+  const std::string_view text = token;
   Edge e;
-  e.u = static_cast<NodeId>(parse_uint(line, token.substr(0, dash)));
-  e.v = static_cast<NodeId>(parse_uint(line, token.substr(dash + 1)));
+  e.u = parse_node_id(text.substr(0, dash), where(line));
+  e.v = parse_node_id(text.substr(dash + 1), where(line));
   if (e.u == e.v) fail(line, "self-loop edge '" + token + "'");
   return e;
 }
@@ -94,12 +76,12 @@ Scenario parse_scenario(std::istream& in) {
       saw_topology = true;
     } else if (key == "alpha") {
       expect_args(1);
-      scenario.alpha = parse_double(line_number, args[0]);
+      scenario.alpha = parse_double(args[0], where(line_number));
       if (scenario.alpha < 0.0 || scenario.alpha > 1.0)
         fail(line_number, "alpha must be in [0,1]");
     } else if (key == "k") {
       expect_args(1);
-      scenario.k = parse_uint(line_number, args[0]);
+      scenario.k = parse_uint(args[0], where(line_number));
       if (scenario.k < 1) fail(line_number, "k must be >= 1");
     } else if (key == "algorithm") {
       expect_args(1);
@@ -113,10 +95,10 @@ Scenario parse_scenario(std::istream& in) {
       scenario.algorithm = args[0];
     } else if (key == "seed") {
       expect_args(1);
-      scenario.seed = parse_uint(line_number, args[0]);
+      scenario.seed = parse_uint(args[0], where(line_number));
     } else if (key == "capacity") {
       expect_args(1);
-      const double value = parse_double(line_number, args[0]);
+      const double value = parse_double(args[0], where(line_number));
       if (value < 0.0) fail(line_number, "capacity must be >= 0");
       scenario.capacity = value;
     } else if (key == "service") {
@@ -125,17 +107,16 @@ Scenario parse_scenario(std::istream& in) {
       Service svc;
       svc.name = args[0];
       for (std::size_t i = 1; i < args.size(); ++i)
-        svc.clients.push_back(
-            static_cast<NodeId>(parse_uint(line_number, args[i])));
+        svc.clients.push_back(parse_node_id(args[i], where(line_number)));
       scenario.services.push_back(std::move(svc));
     } else if (key == "services") {
       expect_args(1);
-      scenario.auto_services = parse_uint(line_number, args[0]);
+      scenario.auto_services = parse_uint(args[0], where(line_number));
       if (scenario.auto_services == 0)
         fail(line_number, "'services' must be >= 1");
     } else if (key == "clients-per-service") {
       expect_args(1);
-      scenario.clients_per_service = parse_uint(line_number, args[0]);
+      scenario.clients_per_service = parse_uint(args[0], where(line_number));
       if (scenario.clients_per_service == 0)
         fail(line_number, "'clients-per-service' must be >= 1");
     } else {

@@ -463,7 +463,6 @@ EngineResult Engine::execute(const PlaceRequest& request,
     spec.objective = named ? request.objective : label.objective;
     spec.k = request.k;
     spec.seed = request.seed;
-    spec.options.threads = std::max<std::size_t>(1, request.threads);
     if (trace != nullptr)
       spec.options.profile_round = [trace](const GreedyRoundProfile& profile) {
         trace->greedy_rounds.push_back(profile);
@@ -591,7 +590,6 @@ EngineResult Engine::execute(const PortfolioRequest& request,
     spec.objective = request.objective;
     spec.k = request.k;
     spec.seed = request.seed;
-    spec.options.threads = std::max<std::size_t>(1, request.threads);
     spec.certificate_k = request.k;
     // No external pool: this already runs on an engine worker, and waiting
     // on sibling tasks of the same pool from inside a worker deadlocks.

@@ -196,9 +196,8 @@ class Engine {
                        RequestTrace* trace) const;
   EngineResult execute(const MutateRequest& request, RequestTrace* trace) const;
   /// Non-const: a served portfolio publishes a PortfolioEvent on bus_.
-  /// Algorithms run sequentially on this worker (driving the engine's own
-  /// pool from inside a worker would deadlock); intra-algorithm parallelism
-  /// comes from request.threads.
+  /// Algorithms run one after another on this worker's thread (driving the
+  /// engine's own pool from inside a worker would deadlock).
   EngineResult execute(const PortfolioRequest& request, RequestTrace* trace);
 
   std::shared_ptr<const TopologySnapshot> resolve(std::uint64_t hash,

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "graph/io.hpp"
 #include "localization/observation.hpp"
 #include "placement/algorithm.hpp"
 #include "shard/group.hpp"
@@ -19,8 +20,12 @@
 namespace splace::engine {
 namespace {
 
+std::string where(std::size_t line) {
+  return "replay line " + std::to_string(line);
+}
+
 [[noreturn]] void fail(std::size_t line, const std::string& message) {
-  throw InvalidInput("replay line " + std::to_string(line) + ": " + message);
+  throw InvalidInput(where(line) + ": " + message);
 }
 
 std::vector<std::string> tokenize(std::string_view line) {
@@ -28,22 +33,6 @@ std::vector<std::string> tokenize(std::string_view line) {
   for (const std::string& field : split(std::string(line), ' '))
     if (!trim(field).empty()) tokens.emplace_back(trim(field));
   return tokens;
-}
-
-std::size_t parse_size(const std::string& token, std::size_t line) {
-  try {
-    return static_cast<std::size_t>(std::stoul(token));
-  } catch (...) {
-    fail(line, "expected a non-negative integer, got '" + token + "'");
-  }
-}
-
-double parse_double(const std::string& token, std::size_t line) {
-  try {
-    return std::stod(token);
-  } catch (...) {
-    fail(line, "expected a number, got '" + token + "'");
-  }
 }
 
 ReplaySnapshotSpec parse_snapshot_line(const std::vector<std::string>& tokens,
@@ -56,10 +45,10 @@ ReplaySnapshotSpec parse_snapshot_line(const std::vector<std::string>& tokens,
     const std::string& key = tokens[i];
     const std::string& value = tokens[i + 1];
     if (key == "topology") spec.topology = value;
-    else if (key == "alpha") spec.alpha = parse_double(value, line);
-    else if (key == "services") spec.services = parse_size(value, line);
+    else if (key == "alpha") spec.alpha = parse_double(value, where(line));
+    else if (key == "services") spec.services = parse_uint(value, where(line));
     else if (key == "clients")
-      spec.clients_per_service = parse_size(value, line);
+      spec.clients_per_service = parse_uint(value, where(line));
     else fail(line, "unknown snapshot key '" + key + "'");
   }
   if (spec.topology.empty()) fail(line, "snapshot needs a topology");
@@ -80,7 +69,7 @@ ReplayRequestSpec parse_request_line(RequestType type,
   std::size_t i = 2;
   if (type == RequestType::Localize) {
     if (i < tokens.size() && tokens[i] != "k" && tokens[i] != "algorithm")
-      spec.failures = parse_size(tokens[i++], line);
+      spec.failures = parse_uint(tokens[i++], where(line));
     spec.algorithm = "qos";  // cheap deterministic placement to observe
   } else {
     if (i < tokens.size() && tokens[i] != "k")
@@ -88,7 +77,7 @@ ReplayRequestSpec parse_request_line(RequestType type,
   }
   for (; i + 1 < tokens.size(); i += 2) {
     const std::string& key = tokens[i];
-    if (key == "k") spec.k = parse_size(tokens[i + 1], line);
+    if (key == "k") spec.k = parse_uint(tokens[i + 1], where(line));
     else if (key == "algorithm") spec.algorithm = to_lower(tokens[i + 1]);
     else fail(line, "unknown request key '" + key + "'");
   }
@@ -109,11 +98,12 @@ ReplayCascadeSpec parse_cascade_line(const std::vector<std::string>& tokens,
     const std::string& key = tokens[i];
     const std::string& value = tokens[i + 1];
     if (key == "algorithm") spec.algorithm = to_lower(value);
-    else if (key == "strength") spec.strength = parse_double(value, line);
-    else if (key == "density") spec.density = parse_double(value, line);
-    else if (key == "episodes") spec.episodes = parse_size(value, line);
-    else if (key == "ticks") spec.ticks = parse_size(value, line);
-    else if (key == "k") spec.k = parse_size(value, line);
+    else if (key == "strength")
+      spec.strength = parse_double(value, where(line));
+    else if (key == "density") spec.density = parse_double(value, where(line));
+    else if (key == "episodes") spec.episodes = parse_uint(value, where(line));
+    else if (key == "ticks") spec.ticks = parse_uint(value, where(line));
+    else if (key == "k") spec.k = parse_uint(value, where(line));
     else fail(line, "unknown cascade key '" + key + "'");
   }
   if (i != tokens.size()) fail(line, "dangling token '" + tokens[i] + "'");
@@ -143,7 +133,7 @@ ReplayRequestSpec parse_portfolio_line(const std::vector<std::string>& tokens,
   }
   for (; i + 1 < tokens.size(); i += 2) {
     const std::string& key = tokens[i];
-    if (key == "k") spec.k = parse_size(tokens[i + 1], line);
+    if (key == "k") spec.k = parse_uint(tokens[i + 1], where(line));
     else fail(line, "unknown portfolio key '" + key + "'");
   }
   if (i != tokens.size()) fail(line, "dangling token '" + tokens[i] + "'");
@@ -161,9 +151,11 @@ TenantQuota parse_quota_line(const std::vector<std::string>& tokens,
   for (std::size_t i = 2; i + 1 < tokens.size(); i += 2) {
     const std::string& key = tokens[i];
     const std::string& value = tokens[i + 1];
-    if (key == "inflight") quota.max_in_flight = parse_size(value, line);
-    else if (key == "rate") quota.rate_per_second = parse_double(value, line);
-    else if (key == "burst") quota.burst = parse_double(value, line);
+    if (key == "inflight")
+      quota.max_in_flight = parse_uint(value, where(line));
+    else if (key == "rate")
+      quota.rate_per_second = parse_double(value, where(line));
+    else if (key == "burst") quota.burst = parse_double(value, where(line));
     else fail(line, "unknown quota key '" + key + "'");
   }
   if (quota.rate_per_second < 0) fail(line, "rate must be >= 0");
@@ -203,50 +195,50 @@ ReplaySpec parse_replay(std::istream& in) {
     const std::string& key = tokens[0];
     if (key == "threads") {
       if (tokens.size() != 2) fail(line, "threads needs one value");
-      spec.threads = parse_size(tokens[1], line);
+      spec.threads = parse_uint(tokens[1], where(line));
     } else if (key == "shards") {
       if (tokens.size() != 2) fail(line, "shards needs one value");
-      spec.shards = parse_size(tokens[1], line);
+      spec.shards = parse_uint(tokens[1], where(line));
       if (spec.shards < 1) fail(line, "shards must be >= 1");
     } else if (key == "queue-depth") {
       if (tokens.size() != 2) fail(line, "queue-depth needs one value");
-      spec.queue_depth = parse_size(tokens[1], line);
+      spec.queue_depth = parse_uint(tokens[1], where(line));
       if (spec.queue_depth < 1) fail(line, "queue-depth must be >= 1");
     } else if (key == "cache") {
       if (tokens.size() != 2) fail(line, "cache needs one value");
-      spec.cache_capacity = parse_size(tokens[1], line);
+      spec.cache_capacity = parse_uint(tokens[1], where(line));
     } else if (key == "repeat") {
       if (tokens.size() != 2) fail(line, "repeat needs one value");
-      spec.repeat = parse_size(tokens[1], line);
+      spec.repeat = parse_uint(tokens[1], where(line));
       if (spec.repeat < 1) fail(line, "repeat must be >= 1");
     } else if (key == "trace") {
       if (tokens.size() != 2) fail(line, "trace needs a capacity (traces)");
-      spec.trace_capacity = parse_size(tokens[1], line);
+      spec.trace_capacity = parse_uint(tokens[1], where(line));
       if (spec.trace_capacity < 1) fail(line, "trace capacity must be >= 1");
       spec.tracing = true;
     } else if (key == "adaptive") {
       if (tokens.size() != 3)
         fail(line, "expected: adaptive <min-entries> <max-entries>");
-      spec.cache_min_capacity = parse_size(tokens[1], line);
-      spec.cache_max_capacity = parse_size(tokens[2], line);
+      spec.cache_min_capacity = parse_uint(tokens[1], where(line));
+      spec.cache_max_capacity = parse_uint(tokens[2], where(line));
       spec.adaptive_cache = true;
     } else if (key == "adaptive-window") {
       if (tokens.size() != 2)
         fail(line, "adaptive-window needs one value (responses)");
-      spec.working_set_window = parse_size(tokens[1], line);
+      spec.working_set_window = parse_uint(tokens[1], where(line));
     } else if (key == "adaptive-interval") {
       if (tokens.size() != 2)
         fail(line, "adaptive-interval needs one value (responses)");
-      spec.adaptation_interval = parse_size(tokens[1], line);
+      spec.adaptation_interval = parse_uint(tokens[1], where(line));
     } else if (key == "metrics") {
       if (tokens.size() != 1) fail(line, "metrics takes no values");
       spec.metrics_text = true;
     } else if (key == "seed") {
       if (tokens.size() != 2) fail(line, "seed needs one value");
-      current_seed = parse_size(tokens[1], line);
+      current_seed = parse_uint(tokens[1], where(line));
     } else if (key == "deadline") {
       if (tokens.size() != 2) fail(line, "deadline needs one value (ms)");
-      const double ms = parse_double(tokens[1], line);
+      const double ms = parse_double(tokens[1], where(line));
       if (ms < 0) fail(line, "deadline must be >= 0");
       current_deadline = ms / 1000.0;
     } else if (key == "tenant") {
@@ -288,8 +280,8 @@ ReplaySpec parse_replay(std::istream& in) {
       if (tokens.size() != 5 ||
           (tokens[2] != "addlink" && tokens[2] != "rmlink"))
         fail(line, "expected: mutate <snapshot> addlink|rmlink <u> <v>");
-      const Edge link{static_cast<NodeId>(parse_size(tokens[3], line)),
-                      static_cast<NodeId>(parse_size(tokens[4], line))};
+      const Edge link{parse_node_id(tokens[3], where(line)),
+                      parse_node_id(tokens[4], where(line))};
       if (tokens[2] == "addlink")
         pending[tokens[1]].add_links.push_back(link);
       else

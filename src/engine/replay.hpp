@@ -72,7 +72,9 @@
 // (cache-resistant work). Derive lines act as barriers: the replay driver
 // waits for the derived snapshot to register before submitting later lines
 // that may target it. Unknown keys and malformed values are rejected with
-// line-numbered InvalidInput errors.
+// line-numbered InvalidInput errors; numbers go through parse_uint,
+// parse_double and parse_node_id, so a sign on a count, trailing
+// characters and a non-finite real are malformed.
 #pragma once
 
 #include <cstdint>

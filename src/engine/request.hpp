@@ -62,10 +62,6 @@ struct PlaceRequest {
   ObjectiveKind objective = ObjectiveKind::Distinguishability;
   std::size_t k = 1;                   ///< failure bound (greedy objectives)
   std::uint64_t seed = 42;             ///< RNG seed (RD / "random" only)
-  /// Intra-request worker threads for the greedy arg-max (1 = sequential).
-  /// NOT part of the cache key: placements are bit-identical across thread
-  /// counts (PR 2's determinism contract), so thread count is purely speed.
-  std::size_t threads = 1;
   double deadline_seconds = 0;         ///< 0 = no deadline
   std::string tenant;                  ///< empty = default tenant
 };
@@ -103,8 +99,8 @@ struct MutateRequest {
 /// Run a set of registered placement algorithms on one snapshot and pick
 /// the winner under a common objective, with MIS certificates attached
 /// (portfolio/portfolio.hpp behind the engine's caching/metrics/stream
-/// surface). Algorithms execute sequentially on the engine worker — each
-/// algorithm's own intra-run parallelism comes from `threads`.
+/// surface). Algorithms execute one after another on the engine worker's
+/// thread.
 struct PortfolioRequest {
   std::uint64_t snapshot = 0;
   /// Registry names in tie-break priority order; empty = every registered
@@ -113,9 +109,6 @@ struct PortfolioRequest {
   ObjectiveKind objective = ObjectiveKind::Distinguishability;
   std::size_t k = 1;          ///< failure bound (objective + certificates)
   std::uint64_t seed = 42;    ///< forwarded to seed-consuming algorithms
-  /// Intra-algorithm worker threads (NOT part of the cache key; results are
-  /// bit-identical across thread counts).
-  std::size_t threads = 1;
   double deadline_seconds = 0;
   std::string tenant;
 };
@@ -203,8 +196,8 @@ const std::string& tenant_of(const Request& request);
 /// the snapshot hash. Two requests with equal keys are guaranteed equal
 /// results (determinism contract), so the result cache compares full keys —
 /// a 64-bit hash collision can never serve a wrong result. Normalization
-/// drops fields that cannot change the result: `threads`, deadlines, and
-/// the seed for every algorithm except RD. A non-empty tenant appends a
+/// drops fields that cannot change the result: deadlines, and the seed for
+/// every algorithm except RD. A non-empty tenant appends a
 /// `|t=<tenant>` suffix (tenant caches are partitioned, so two tenants never
 /// share an entry); the empty default tenant adds nothing, keeping every
 /// pre-tenant key byte-identical.

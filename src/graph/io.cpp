@@ -1,5 +1,6 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -20,25 +21,29 @@ Graph read_edge_list(std::istream& is) {
   bool any_edge = false;
 
   std::string line;
+  std::size_t line_number = 0;
   while (std::getline(is, line)) {
-    const std::string_view content = trim(line);
-    if (content.empty() || content.front() == '#') continue;
-    std::istringstream fields{std::string(content)};
-    std::string first;
-    fields >> first;
-    if (first == "nodes") {
-      if (!(fields >> declared_nodes))
-        throw InvalidInput("edge list: malformed 'nodes' header: " + line);
+    ++line_number;
+    std::istringstream fields{line.substr(0, line.find('#'))};
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) tokens.push_back(token);
+    if (tokens.empty()) continue;
+    const std::string where = concat("edge list line ",
+                                     std::to_string(line_number));
+    if (tokens[0] == "nodes") {
+      if (tokens.size() != 2)
+        throw InvalidInput(concat(where, ": malformed 'nodes' header: ", line));
+      declared_nodes = parse_uint(tokens[1], where, kInvalidNode);
       has_header = true;
       continue;
     }
-    Edge e;
-    std::istringstream pair{std::string(content)};
-    if (!(pair >> e.u >> e.v))
-      throw InvalidInput("edge list: malformed edge line: " + line);
+    if (tokens.size() != 2)
+      throw InvalidInput(concat(where, ": malformed edge line: ", line));
+    const Edge e{parse_node_id(tokens[0], where),
+                 parse_node_id(tokens[1], where)};
     if (e.u == e.v)
-      throw InvalidInput("edge list: self-loop on node " +
-                         std::to_string(e.u));
+      throw InvalidInput(concat(where, ": self-loop on node ",
+                                std::to_string(e.u)));
     edges.push_back(e);
     max_id = std::max({max_id, e.u, e.v});
     any_edge = true;
@@ -58,6 +63,10 @@ Graph read_edge_list(std::istream& is) {
     g.add_edge(e.u, e.v);
   }
   return g;
+}
+
+NodeId parse_node_id(std::string_view token, std::string_view where) {
+  return static_cast<NodeId>(parse_uint(token, where, kInvalidNode - 1));
 }
 
 std::string to_dot(const Graph& g, const std::string& name) {

@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "graph/graph.hpp"
 
@@ -14,10 +15,15 @@ namespace splace {
 /// Writes "nodes N" followed by one "u v" line per link.
 void write_edge_list(const Graph& g, std::ostream& os);
 
-/// Parses the format produced by write_edge_list. Lines starting with '#'
-/// are comments. Without a "nodes N" header the node count is inferred as
-/// max id + 1. Throws InvalidInput on malformed data.
+/// Parses the format produced by write_edge_list. '#' starts a comment
+/// anywhere on a line. Without a "nodes N" header the node count is
+/// inferred as max id + 1. Throws InvalidInput on malformed data; a
+/// malformed line's message names its line number.
 Graph read_edge_list(std::istream& is);
+
+/// A node id token of a line grammar (edge lists, scenario files, replay
+/// scripts): parse_uint (util/string_util.hpp) bounded below kInvalidNode.
+NodeId parse_node_id(std::string_view token, std::string_view where);
 
 /// Graphviz DOT representation (undirected), optionally titled.
 std::string to_dot(const Graph& g, const std::string& name = "G");

@@ -1,5 +1,6 @@
 #include "localization/fusion.hpp"
 
+#include "localization/covering_sets.hpp"
 #include "util/error.hpp"
 
 namespace splace {
@@ -32,6 +33,15 @@ void EvidenceFusion::add_evidence(const EpochEvidence& evidence) {
 std::vector<std::vector<NodeId>> EvidenceFusion::candidates() const {
   if (seen_up_.intersects(seen_down_)) return {};
   return localize(incidence_, seen_up_, seen_down_, k_).consistent_sets;
+}
+
+std::size_t EvidenceFusion::candidate_count() const {
+  // localize()'s pool: every node on no path seen normal. A path seen both
+  // ways is on no pooled node, so nothing covers it and the count is 0.
+  std::vector<NodeId> pool;
+  for (NodeId v = 0; v < incidence_.size(); ++v)
+    if (!incidence_[v].intersects(seen_up_)) pool.push_back(v);
+  return CoveringClasses(pool, incidence_, seen_down_).count(k_);
 }
 
 }  // namespace splace

@@ -49,8 +49,10 @@ class EvidenceFusion {
   /// lexicographic, a prefix before its extensions).
   std::vector<std::vector<NodeId>> candidates() const;
 
-  bool unique() const { return candidates().size() == 1; }
-  bool contradictory() const { return candidates().empty(); }
+  /// Whether exactly one / no candidate is left, counted over the same pool
+  /// without listing a set.
+  bool unique() const { return candidate_count() == 1; }
+  bool contradictory() const { return candidate_count() == 0; }
 
   /// Convenience: evidence from a full-epoch scenario where every path was
   /// exercised.
@@ -58,6 +60,9 @@ class EvidenceFusion {
                                         const DynamicBitset& failed_paths);
 
  private:
+  /// candidates().size(), saturating at SIZE_MAX.
+  std::size_t candidate_count() const;
+
   std::vector<DynamicBitset> incidence_;  ///< node -> path indices
   std::size_t k_;
   DynamicBitset seen_up_;    ///< paths seen normal in some epoch

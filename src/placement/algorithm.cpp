@@ -100,7 +100,7 @@ AlgorithmResult run_brute_force(const ProblemInstance& instance,
   };
   if (spec.k == 1) {
     std::optional<BruteForceK1Result> swept =
-        brute_force_k1(instance, spec.options, spec.bf_budget);
+        brute_force_k1(instance, spec.bf_budget);
     if (!swept)
       throw refusal("search space " + std::to_string(placements) +
                     " placements");
@@ -160,8 +160,7 @@ AlgorithmResult run_online(const ProblemInstance& instance,
 }
 
 AlgorithmResult run_qos(const ProblemInstance& instance,
-                        const AlgorithmSpec& spec) {
-  (void)spec;
+                        const AlgorithmSpec& /*spec*/) {
   AlgorithmResult result;
   result.placement = best_qos_placement(instance);
   return result;
@@ -176,8 +175,8 @@ AlgorithmResult run_random(const ProblemInstance& instance,
 }
 
 AlgorithmResult run_pair_cover(const ProblemInstance& instance,
-                               const AlgorithmSpec& spec) {
-  PairCoverResult cover = pair_cover_placement(instance, spec.options);
+                               const AlgorithmSpec& /*spec*/) {
+  PairCoverResult cover = pair_cover_placement(instance);
   AlgorithmResult result;
   result.placement = std::move(cover.placement);
   result.reported_value = static_cast<double>(cover.pair_covered);

@@ -41,7 +41,7 @@ struct AlgorithmSpec {
   ObjectiveKind objective = ObjectiveKind::Distinguishability;
   std::size_t k = 1;            ///< failure bound for the objective
   std::uint64_t seed = 42;      ///< RNG seed ("random" only)
-  PlacementOptions options;     ///< threads / profiling / stochastic pool
+  PlacementOptions options;     ///< profiling / stochastic pool
   /// Search budget for "brute_force": the entry throws InvalidInput instead
   /// of starting a search past it. At k = 1 its unit is placements (the
   /// word-packed sweep enumerates no failure sets); at k >= 2 it is

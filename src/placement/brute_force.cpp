@@ -126,15 +126,6 @@ std::optional<BruteForceK1Result> brute_force_k1_parallel(
   return result;
 }
 
-std::optional<BruteForceK1Result> brute_force_k1(
-    const ProblemInstance& instance, const PlacementOptions& options,
-    std::uint64_t max_placements) {
-  const std::size_t workers = options.resolved_threads();
-  if (workers <= 1) return brute_force_k1(instance, max_placements);
-  ThreadPool pool(workers);
-  return brute_force_k1_parallel(instance, pool, max_placements);
-}
-
 BruteForceObjectiveResult brute_force_objective(
     const ProblemInstance& instance, ObjectiveKind kind, std::size_t k) {
   BruteForceObjectiveResult best;

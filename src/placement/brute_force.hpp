@@ -15,7 +15,6 @@
 
 #include "monitoring/fast_eval.hpp"
 #include "monitoring/objective.hpp"
-#include "placement/options.hpp"
 #include "placement/service.hpp"
 #include "util/thread_pool.hpp"
 
@@ -46,20 +45,15 @@ std::optional<BruteForceK1Result> brute_force_k1(
     const ProblemInstance& instance,
     std::uint64_t max_placements = 50'000'000);
 
-/// Parallel exhaustive k = 1 sweep: the first service's candidate hosts are
-/// distributed over the pool, each worker running the same sweep over its
-/// sub-product with a private evaluator. Among equal-value placements the
-/// merge keeps the one the serial sweep meets first, so the result —
-/// values and witnesses — is identical to brute_force_k1 for every pool.
+/// Parallel exhaustive k = 1 sweep on a pool the caller owns: the first
+/// service's candidate hosts are distributed over the pool, each worker
+/// running the same sweep over its sub-product with a private evaluator.
+/// Among equal-value placements the merge keeps the one the serial sweep
+/// meets first, so the result — values and witnesses — is identical to
+/// brute_force_k1 for every pool. Every other placement search runs on its
+/// caller's thread.
 std::optional<BruteForceK1Result> brute_force_k1_parallel(
     const ProblemInstance& instance, ThreadPool& pool,
-    std::uint64_t max_placements = 50'000'000);
-
-/// PlacementOptions front end: dispatches to the serial sweep for
-/// options.threads == 1 and to a pool of resolved_threads() workers
-/// otherwise. Values and witnesses are identical either way.
-std::optional<BruteForceK1Result> brute_force_k1(
-    const ProblemInstance& instance, const PlacementOptions& options,
     std::uint64_t max_placements = 50'000'000);
 
 /// Generic exact optimum for a single objective (any k): the first

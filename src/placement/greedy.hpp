@@ -30,10 +30,8 @@ struct GreedyResult {
 /// Algorithm 2 with a caller-supplied objective state (takes ownership of
 /// `state`, which must be freshly constructed / empty). Candidates are
 /// scored through ObjectiveState::gain — allocation-free for the k = 1
-/// objectives. With options.threads > 1 the per-iteration arg-max runs on a
-/// worker pool (one state clone per worker per iteration) with a reduction
-/// that resolves ties by (service, host) order, so the placement is
-/// bit-identical to the sequential run for every thread count.
+/// objectives — on the caller's thread, and ties resolve to the first
+/// candidate in (service, host) order.
 GreedyResult greedy_placement(const ProblemInstance& instance,
                               std::unique_ptr<ObjectiveState> state,
                               const PlacementOptions& options = {});

@@ -1,12 +1,9 @@
 #include "placement/lazy_greedy.hpp"
 
 #include <chrono>
-#include <optional>
 #include <queue>
-#include <unordered_map>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace splace {
 
@@ -27,12 +24,6 @@ struct HeapEntry {
   }
 };
 
-/// Key for the per-iteration cache of speculative re-evaluations.
-std::size_t cache_key(const ProblemInstance& instance, std::size_t service,
-                      NodeId host) {
-  return service * instance.node_count() + host;
-}
-
 }  // namespace
 
 LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
@@ -40,36 +31,10 @@ LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
                                        const PlacementOptions& options) {
   SPLACE_EXPECTS(state != nullptr);
   const std::size_t n_services = instance.service_count();
-  const std::size_t workers = options.resolved_threads();
 
   LazyGreedyResult result;
   result.placement.assign(n_services, kInvalidNode);
   std::vector<bool> placed(n_services, false);
-
-  std::optional<ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
-
-  // Gains within one iteration are evaluated against a fixed path set, so a
-  // batch evaluated speculatively in parallel can be consumed entry by entry
-  // as the heap surfaces them — the algorithm's state evolution stays
-  // exactly sequential. The cache dies with each commit (state changes).
-  std::unordered_map<std::size_t, double> fresh_gain;
-  std::vector<HeapEntry> batch;
-  std::vector<double> entry_gains;
-  const std::size_t batch_target = workers * 4;
-
-  const auto evaluate_batch = [&](const std::vector<HeapEntry>& entries) {
-    parallel_for(*pool, entries.size(), [&](std::size_t begin,
-                                            std::size_t end) {
-      // One state clone per worker chunk (gain's scratch is not shareable).
-      const std::unique_ptr<ObjectiveState> local = state->clone();
-      for (std::size_t i = begin; i < end; ++i) {
-        const HeapEntry& e = entries[i];
-        entry_gains[i] =
-            local->gain(instance.arena_paths_for(e.service, e.host));
-      }
-    });
-  };
 
   using ProfileClock = std::chrono::steady_clock;
   const bool profiling = static_cast<bool>(options.profile_round);
@@ -78,17 +43,9 @@ LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
   std::vector<HeapEntry> initial;
   for (std::size_t s = 0; s < n_services; ++s)
     for (NodeId h : instance.candidate_hosts(s))
-      initial.push_back(HeapEntry{0.0, s, h, 0});
+      initial.push_back(
+          HeapEntry{state->gain(instance.arena_paths_for(s, h)), s, h, 0});
   std::size_t remaining_pairs = initial.size();
-  if (!pool) {
-    for (HeapEntry& e : initial)
-      e.gain = state->gain(instance.arena_paths_for(e.service, e.host));
-  } else {
-    entry_gains.assign(initial.size(), 0.0);
-    evaluate_batch(initial);
-    for (std::size_t i = 0; i < initial.size(); ++i)
-      initial[i].gain = entry_gains[i];
-  }
   result.evaluations += initial.size();
   // The comparator is a strict total order over (gain, service, host), so
   // the pop sequence is independent of the heap's construction order.
@@ -113,7 +70,6 @@ LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
         result.placement[top.service] = top.host;
         result.order.push_back(top.service);
         state->add_paths(instance.arena_paths_for(top.service, top.host));
-        fresh_gain.clear();
         if (profiling) {
           GreedyRoundProfile profile;
           profile.round = iter;
@@ -131,46 +87,11 @@ LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
         break;
       }
       // Stale top: re-evaluate against the current path set and re-insert.
-      if (!pool) {
-        heap.pop();
-        const double gain =
-            state->gain(instance.arena_paths_for(top.service, top.host));
-        ++result.evaluations;
-        heap.push(HeapEntry{gain, top.service, top.host, iter});
-        continue;
-      }
-      const auto cached =
-          fresh_gain.find(cache_key(instance, top.service, top.host));
-      if (cached != fresh_gain.end()) {
-        heap.pop();
-        heap.push(HeapEntry{cached->second, top.service, top.host, iter});
-        continue;
-      }
-      // Uncached: speculatively pop a run of stale entries off the top and
-      // evaluate them in one parallel batch. Re-inserting them unchanged
-      // restores the heap, so consuming the cached values as the entries
-      // resurface replays the sequential pop order exactly.
-      batch.clear();
-      while (!heap.empty() && batch.size() < batch_target) {
-        const HeapEntry next = heap.top();
-        if (placed[next.service]) {
-          heap.pop();
-          continue;
-        }
-        if (next.stamp == iter ||
-            fresh_gain.count(cache_key(instance, next.service, next.host)))
-          break;
-        heap.pop();
-        batch.push_back(next);
-      }
-      entry_gains.assign(batch.size(), 0.0);
-      evaluate_batch(batch);
-      result.evaluations += batch.size();
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        fresh_gain[cache_key(instance, batch[i].service, batch[i].host)] =
-            entry_gains[i];
-        heap.push(batch[i]);
-      }
+      heap.pop();
+      const double gain =
+          state->gain(instance.arena_paths_for(top.service, top.host));
+      ++result.evaluations;
+      heap.push(HeapEntry{gain, top.service, top.host, iter});
     }
   }
 

@@ -30,15 +30,9 @@ struct LazyGreedyResult {
   std::size_t evaluations = 0;      ///< # objective evaluations performed
 };
 
-/// Lazy variant of Algorithm 2 (takes ownership of a fresh `state`).
-/// With options.threads > 1 the initial heap build and the stale-entry
-/// re-evaluations run on a worker pool (one state clone per worker per
-/// batch). Heap pops consume the speculative batch results one at a time in
-/// exactly the sequential order, so placements and objective values are
-/// bit-identical to the sequential run for every thread count — even for
-/// the non-submodular identifiability objective. Only `evaluations` may
-/// exceed the sequential count (speculatively evaluated entries whose turn
-/// never comes before the commit).
+/// Lazy variant of Algorithm 2 (takes ownership of a fresh `state`). Runs
+/// on the caller's thread; `evaluations` counts the initial heap build plus
+/// every stale-top re-evaluation.
 LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
                                        std::unique_ptr<ObjectiveState> state,
                                        const PlacementOptions& options = {});

@@ -1,14 +1,11 @@
 // Execution options shared by the placement search engines (greedy, lazy
-// greedy, brute force). Placement results are bit-identical for every
-// thread count: the engines reduce candidate chunks deterministically and
-// break ties by (service, host) order, so `threads` is purely a speed knob.
+// greedy, stochastic greedy). Every search runs on its caller's thread; the
+// serving engine's workers and shards are where placements run in parallel.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <thread>
 
 namespace splace {
 
@@ -27,16 +24,6 @@ struct GreedyRoundProfile {
 };
 
 struct PlacementOptions {
-  PlacementOptions() = default;
-  /// `PlacementOptions{n}` keeps meaning "n worker threads, no profiling"
-  /// now that the struct has a second member — without this constructor the
-  /// one-element brace init would warn under -Wmissing-field-initializers.
-  PlacementOptions(std::size_t worker_threads) : threads(worker_threads) {}
-
-  /// Worker threads for candidate evaluation: 1 = sequential (no pool),
-  /// 0 = one per hardware thread, n = exactly n workers.
-  std::size_t threads = 1;
-
   /// Optional per-round profiling hook, invoked once after every committed
   /// round with that round's candidate-evaluation timings. Empty (the
   /// default) disables profiling entirely: the search then takes no clock
@@ -58,12 +45,6 @@ struct PlacementOptions {
   /// Seed for the stochastic sampler; a fixed seed makes runs bit-for-bit
   /// reproducible. Ignored when stochastic_pool == 0.
   std::uint64_t stochastic_seed = 0x9e3779b97f4a7c15ull;
-
-  /// The actual worker count `threads` resolves to.
-  std::size_t resolved_threads() const {
-    if (threads != 0) return threads;
-    return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
 };
 
 }  // namespace splace

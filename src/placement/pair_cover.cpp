@@ -62,9 +62,7 @@ std::uint32_t arena_set_of(const ProblemInstance& instance, std::size_t s,
 
 }  // namespace
 
-PairCoverResult pair_cover_placement(const ProblemInstance& instance,
-                                     const PlacementOptions& options) {
-  (void)options;  // accepted for interface symmetry; the scan is sequential
+PairCoverResult pair_cover_placement(const ProblemInstance& instance) {
   const PathArena& arena = instance.arena();
   const std::size_t services = instance.service_count();
   CoverPlanes planes(arena.words_per_row());

@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "placement/options.hpp"
 #include "placement/service.hpp"
 
 namespace splace {
@@ -39,12 +38,9 @@ struct PairCoverResult {
   std::size_t evaluations = 0;      ///< candidate gain evaluations
 };
 
-/// Greedy pair-cover placement. Deterministic for every options value;
-/// options.threads is accepted for interface symmetry but the scan is
-/// sequential (each evaluation is two popcount loops — parallel dispatch
-/// costs more than it saves at current instance sizes).
-PairCoverResult pair_cover_placement(const ProblemInstance& instance,
-                                     const PlacementOptions& options = {});
+/// Greedy pair-cover placement, deterministic and on the caller's thread
+/// (each evaluation is two popcount loops).
+PairCoverResult pair_cover_placement(const ProblemInstance& instance);
 
 /// Independent recount of the pair-coverage of an arbitrary placement
 /// (cross-check oracle for the greedy's incremental planes). Requires

@@ -38,8 +38,7 @@ struct StochasticGreedyResult {
 
 /// Stochastic greedy with a caller-supplied objective state (takes ownership
 /// of `state`, which must be freshly constructed / empty). Sample size and
-/// seed come from options.stochastic_pool / options.stochastic_seed; the
-/// search itself is sequential (options.threads is ignored).
+/// seed come from options.stochastic_pool / options.stochastic_seed.
 StochasticGreedyResult stochastic_greedy_placement(
     const ProblemInstance& instance, std::unique_ptr<ObjectiveState> state,
     const PlacementOptions& options = {});

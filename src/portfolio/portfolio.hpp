@@ -13,11 +13,12 @@
 // bit-identical to running that registered algorithm directly — the runner
 // compares, it never perturbs.
 //
-// Concurrency: pass a ThreadPool to run algorithms in parallel (results are
-// collected in spec order, so the outcome is identical to the sequential
-// run). Do NOT drive a pooled run from inside a worker of that same pool —
-// the engine's PortfolioRequest path therefore runs sequentially and leaves
-// per-algorithm parallelism to each algorithm's own options.threads.
+// Concurrency: pass a ThreadPool the caller owns to run algorithms in
+// parallel (results are collected in spec order, so the outcome is identical
+// to the sequential run). Each algorithm runs on the thread that executes
+// it. Do NOT drive a pooled run from inside a worker of that same pool — the
+// engine's PortfolioRequest path therefore passes no pool and runs its
+// algorithms one after another on the serving worker.
 #pragma once
 
 #include <cstddef>

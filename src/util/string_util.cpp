@@ -1,7 +1,11 @@
 #include "util/string_util.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+
+#include "util/error.hpp"
 
 namespace splace {
 
@@ -52,6 +56,30 @@ std::string to_lower(std::string text) {
   for (char& c : text)
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   return text;
+}
+
+std::uint64_t parse_uint(std::string_view token, std::string_view where,
+                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || stop != end)
+    throw InvalidInput(concat(where, ": expected a non-negative integer, got '",
+                              token, "'"));
+  if (value > max)
+    throw InvalidInput(concat(where, ": ", token, " is over the limit of ",
+                              std::to_string(max)));
+  return value;
+}
+
+double parse_double(std::string_view token, std::string_view where) {
+  double value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value))
+    throw InvalidInput(
+        concat(where, ": expected a finite number, got '", token, "'"));
+  return value;
 }
 
 std::string json_escape(std::string_view raw) {

@@ -1,6 +1,8 @@
 // Small string helpers shared by the I/O and reporting code.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,6 +39,19 @@ bool starts_with(std::string_view text, std::string_view prefix);
 
 /// `text` with ASCII letters lowered (locale-independent).
 std::string to_lower(std::string text);
+
+/// The one number parser of the line grammars (scenario files, replay
+/// scripts, edge lists): `token` must be a decimal integer in [0, max] and
+/// nothing else — no sign, no space, no trailing characters. Otherwise
+/// throws InvalidInput("<where>: ..."); `where` names the line, e.g.
+/// "replay line 7".
+std::uint64_t parse_uint(
+    std::string_view token, std::string_view where,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// A finite real with nothing after it (no NaN, no infinity, no leading
+/// '+'); throws like parse_uint otherwise.
+double parse_double(std::string_view token, std::string_view where);
 
 /// `raw` escaped for the inside of a JSON string: quote, backslash, and
 /// every control character below 0x20 (\n, \t and \r short, the rest

@@ -1,5 +1,6 @@
-// A small fixed-size worker pool for embarrassingly parallel search work
-// (parallel brute force, multi-seed experiment sweeps).
+// A small fixed-size worker pool: the serving engine's workers, and the
+// pools callers hand to brute_force_k1_parallel and run_portfolio. No
+// placement search creates one of its own.
 //
 // Deliberately minimal: fire-and-forget tasks plus a wait-for-drain barrier.
 // Exceptions thrown by tasks are captured and rethrown from wait() (first
@@ -70,9 +71,9 @@ class ThreadPool {
   void worker_loop();
 };
 
-/// Number of contiguous chunks parallel_for/parallel_reduce split [0, n)
-/// into: never more than `max_chunks`, never more than n (so no chunk is
-/// empty), and 0 only when n == 0.
+/// Number of contiguous chunks parallel_for splits [0, n) into: never more
+/// than `max_chunks`, never more than n (so no chunk is empty), and 0 only
+/// when n == 0.
 std::size_t parallel_chunk_count(std::size_t n, std::size_t max_chunks);
 
 /// Splits [0, n) into roughly even non-empty chunks, runs `body(begin, end)`
@@ -80,31 +81,5 @@ std::size_t parallel_chunk_count(std::size_t n, std::size_t max_chunks);
 /// n == 0 is a no-op; n < thread_count submits exactly n single-index chunks.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Deterministic chunked map-reduce over [0, n): at most thread_count()
-/// non-empty contiguous chunks, each mapped to a partial result by
-/// `map(begin, end)` on the pool, then folded IN CHUNK ORDER with
-/// `combine(accumulator, partial)`. Because the fold order is the index
-/// order — not the completion order — a combine that keeps the first
-/// winner on ties reproduces the sequential scan bit-for-bit, which is how
-/// the parallel greedy arg-max resolves ties by (service, host) order.
-/// Requires T to be default-constructible; returns `init` when n == 0.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(ThreadPool& pool, std::size_t n, T init, const Map& map,
-                  const Combine& combine) {
-  const std::size_t chunks = parallel_chunk_count(n, pool.thread_count());
-  if (chunks == 0) return init;
-  std::vector<T> partials(chunks);
-  for (std::size_t i = 0; i < chunks; ++i) {
-    const std::size_t begin = i * n / chunks;
-    const std::size_t end = (i + 1) * n / chunks;
-    T* slot = &partials[i];
-    pool.submit([&map, slot, begin, end] { *slot = map(begin, end); });
-  }
-  pool.wait();
-  T result = std::move(init);
-  for (T& partial : partials) result = combine(std::move(result), partial);
-  return result;
-}
 
 }  // namespace splace

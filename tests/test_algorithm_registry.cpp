@@ -118,7 +118,7 @@ TEST(AlgorithmRegistry, BruteForceMatchesLegacyAndHonorsBudget) {
   const ProblemInstance instance = make_er_instance();
   AlgorithmSpec spec;
   const AlgorithmResult via = run_named(instance, "brute_force", spec);
-  const auto legacy = brute_force_k1(instance, spec.options, spec.bf_budget);
+  const auto legacy = brute_force_k1(instance, spec.bf_budget);
   ASSERT_TRUE(legacy.has_value());
   EXPECT_EQ(via.placement, legacy->distinguishability.placement);
   EXPECT_DOUBLE_EQ(via.reported_value,
@@ -169,7 +169,7 @@ TEST(AlgorithmRegistry, PairCoverMatchesLegacy) {
   const ProblemInstance instance = make_er_instance();
   AlgorithmSpec spec;
   const AlgorithmResult via = run_named(instance, "pair_cover", spec);
-  const PairCoverResult legacy = pair_cover_placement(instance, spec.options);
+  const PairCoverResult legacy = pair_cover_placement(instance);
   EXPECT_EQ(via.placement, legacy.placement);
   EXPECT_DOUBLE_EQ(via.reported_value,
                    static_cast<double>(legacy.pair_covered));

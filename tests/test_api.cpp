@@ -44,7 +44,6 @@ TEST(RequestBuilder, PlaceMapsEveryField) {
                                     .snapshot(7)
                                     .k(3)
                                     .seed(9)
-                                    .threads(4)
                                     .deadline(250)
                                     .build();
   ASSERT_TRUE(std::holds_alternative<engine::PlaceRequest>(built));
@@ -53,7 +52,6 @@ TEST(RequestBuilder, PlaceMapsEveryField) {
   EXPECT_EQ(place.algorithm, Algorithm::RD);
   EXPECT_EQ(place.k, 3u);
   EXPECT_EQ(place.seed, 9u);
-  EXPECT_EQ(place.threads, 4u);
   EXPECT_DOUBLE_EQ(place.deadline_seconds, 0.25);  // ms -> s conversion
 }
 
@@ -64,7 +62,6 @@ TEST(RequestBuilder, PlaceDefaultsMatchAggregateDefaults) {
   EXPECT_EQ(place.algorithm, defaults.algorithm);
   EXPECT_EQ(place.k, defaults.k);
   EXPECT_EQ(place.seed, defaults.seed);
-  EXPECT_EQ(place.threads, defaults.threads);
   EXPECT_DOUBLE_EQ(place.deadline_seconds, defaults.deadline_seconds);
 }
 
@@ -118,15 +115,11 @@ TEST(RequestBuilder, InapplicableSettersThrow) {
   EXPECT_THROW(Request::evaluate({0, 1}).seed(1), InvalidInput);
   EXPECT_THROW(Request::localize({0, 1}, {}).seed(1), InvalidInput);
   EXPECT_THROW(Request::mutate(TopologyDelta{}).seed(1), InvalidInput);
-  EXPECT_THROW(Request::evaluate({0, 1}).threads(2), InvalidInput);
-  EXPECT_THROW(Request::localize({0, 1}, {}).threads(2), InvalidInput);
-  EXPECT_THROW(Request::mutate(TopologyDelta{}).threads(2), InvalidInput);
   EXPECT_THROW(Request::mutate(TopologyDelta{}).k(2), InvalidInput);
 }
 
 TEST(RequestBuilder, InvalidValuesThrow) {
   EXPECT_THROW(Request::place().k(0), InvalidInput);
-  EXPECT_THROW(Request::place().threads(0), InvalidInput);
   EXPECT_THROW(Request::place().deadline(-1.0), InvalidInput);
   EXPECT_THROW(Request::evaluate({0, 1}).k(0), InvalidInput);
 }

@@ -102,81 +102,15 @@ TEST(Determinism, ParallelSearchMatchesItselfUnderDifferentPoolSizes) {
   EXPECT_EQ(r1->identifiability.placement, r4->identifiability.placement);
 }
 
-TEST(Determinism, ParallelGreedyMatchesSequentialAcrossThreadCounts) {
-  // The parallel arg-max must be bit-identical to the sequential scan:
-  // same placement, same commit order, same objective value — for every
-  // objective, seed, failure bound, and worker count. At k = 2 each worker
-  // chunk regroups on its own state clone, value cache included.
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    Rng rng(seed);
-    const ProblemInstance inst =
-        testing::random_instance(20, 40, 5, 3, 0.8, rng);
-    for (ObjectiveKind kind :
-         {ObjectiveKind::Coverage, ObjectiveKind::Identifiability,
-          ObjectiveKind::Distinguishability}) {
-      for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
-        const GreedyResult sequential = greedy_placement(inst, kind, k);
-        for (std::size_t threads : {std::size_t{2}, std::size_t{4},
-                                    std::size_t{7}}) {
-          const GreedyResult parallel =
-              greedy_placement(inst, kind, k, PlacementOptions{threads});
-          EXPECT_EQ(parallel.placement, sequential.placement)
-              << to_string(kind) << " seed=" << seed << " k=" << k
-              << " threads=" << threads;
-          EXPECT_EQ(parallel.order, sequential.order);
-          EXPECT_EQ(parallel.objective_value, sequential.objective_value);
-        }
-      }
-    }
-  }
-}
-
-TEST(Determinism, ParallelLazyGreedyMatchesSequentialAcrossThreadCounts) {
-  // Speculative batch re-evaluation replays the sequential pop order, so
-  // even the non-submodular identifiability objective must match exactly.
-  for (std::uint64_t seed : {11u, 12u, 13u}) {
-    Rng rng(seed);
-    const ProblemInstance inst =
-        testing::random_instance(18, 36, 5, 2, 0.9, rng);
-    for (ObjectiveKind kind :
-         {ObjectiveKind::Coverage, ObjectiveKind::Identifiability,
-          ObjectiveKind::Distinguishability}) {
-      for (std::size_t k : {std::size_t{1}, std::size_t{2}}) {
-        const LazyGreedyResult sequential =
-            lazy_greedy_placement(inst, kind, k);
-        for (std::size_t threads : {std::size_t{2}, std::size_t{5}}) {
-          const LazyGreedyResult parallel =
-              lazy_greedy_placement(inst, kind, k, PlacementOptions{threads});
-          EXPECT_EQ(parallel.placement, sequential.placement)
-              << to_string(kind) << " seed=" << seed << " k=" << k
-              << " threads=" << threads;
-          EXPECT_EQ(parallel.order, sequential.order);
-          EXPECT_EQ(parallel.objective_value, sequential.objective_value);
-        }
-      }
-    }
-  }
-}
-
-TEST(Determinism, ParallelGreedyOnCatalogTopologyMatchesSequential) {
-  const topology::CatalogEntry& entry = topology::catalog_entry("Tiscali");
-  const ProblemInstance inst = make_instance(entry, 0.7);
-  const GreedyResult sequential =
-      greedy_placement(inst, ObjectiveKind::Distinguishability);
-  const GreedyResult parallel = greedy_placement(
-      inst, ObjectiveKind::Distinguishability, 1, PlacementOptions{0});
-  EXPECT_EQ(parallel.placement, sequential.placement);
-  EXPECT_EQ(parallel.objective_value, sequential.objective_value);
-}
-
-TEST(Determinism, BruteForceOptionsFrontEndMatchesSerial) {
+TEST(Determinism, CallerOwnedPoolBruteForceMatchesSerial) {
   // At alpha = 0.6 the chunks tie with different witnesses; the merge must
   // still return the serial sweep's.
   const topology::CatalogEntry& entry = topology::catalog_entry("Abovenet");
+  ThreadPool pool(4);
   for (const double alpha : {0.2, 0.6}) {
     const ProblemInstance inst = make_instance(entry, alpha);
-    const auto serial = brute_force_k1(inst, PlacementOptions{1});
-    const auto parallel = brute_force_k1(inst, PlacementOptions{4});
+    const auto serial = brute_force_k1(inst);
+    const auto parallel = brute_force_k1_parallel(inst, pool);
     ASSERT_TRUE(serial && parallel);
     EXPECT_EQ(serial->coverage.value, parallel->coverage.value);
     EXPECT_EQ(serial->identifiability.value, parallel->identifiability.value);

@@ -91,10 +91,8 @@ TEST(EngineRequest, CanonicalKeysNormalize) {
   a.snapshot = 7;
   a.algorithm = Algorithm::GD;
   a.seed = 1;
-  a.threads = 1;
   PlaceRequest b = a;
   b.seed = 99;     // seed irrelevant for GD
-  b.threads = 8;   // threads never change results
   b.deadline_seconds = 2.5;
   EXPECT_EQ(canonical_key(a), canonical_key(b));
 
@@ -182,7 +180,6 @@ TEST(Engine, PlaceMatchesDirectLibraryCallAcrossThreadCounts) {
         request.snapshot = fx.snapshot->hash();
         request.algorithm = c.algorithm;
         request.algorithm_name = c.algorithm_name;
-        request.threads = threads;
         // Submit twice: the second may be served from cache and must still
         // be bit-identical.
         EngineResult first = engine.submit(request).get();
@@ -540,6 +537,47 @@ TEST(EngineReplay, ParsesSpecAndRejectsMalformedInput) {
       parse_replay(std::string(
           "snapshot net topology abovenet alpha 7\nplace net gd\n")),
       InvalidInput);
+}
+
+/// parse_replay's InvalidInput message, or "" when the text parses.
+std::string replay_parse_error(const std::string& text) {
+  try {
+    parse_replay(text);
+  } catch (const InvalidInput& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(EngineReplay, RejectsSignsTrailingCharactersAndNonFiniteNumbers) {
+  // Parse only: built, `repeat -1` or `clients -2` read as about 2^64
+  // would allocate without bound. Each probe sits on line 2 of an otherwise
+  // valid spec and must be rejected there.
+  const std::string tail =
+      "snapshot net topology abovenet alpha 0.4 services 2 clients 3\n"
+      "place net gd\n";
+  for (const std::string probe :
+       {"repeat -1", "cache -5", "threads 2x", "threads -1",
+        "queue-depth 1e3", "seed +7", "deadline inf",
+        "snapshot big topology abovenet clients -2",
+        "snapshot odd topology abovenet alpha nan",
+        "snapshot odd topology abovenet alpha 0.4junk",
+        "mutate net addlink 0 4294967298\nderive net",
+        "mutate net rmlink 4294967295 1\nderive net"}) {
+    const std::string error =
+        replay_parse_error("# probe on the next line\n" + probe + "\n" + tail);
+    EXPECT_NE(error.find("replay line 2: "), std::string::npos)
+        << probe << " -> " << (error.empty() ? "accepted" : error);
+  }
+  // The largest node id and plain numbers still parse.
+  const ReplaySpec spec = parse_replay(
+      "threads 0\ndeadline 2.5\n" + tail +
+      "mutate net addlink 0 4294967294\nderive net\n");
+  EXPECT_EQ(spec.threads, 0u);
+  ASSERT_EQ(spec.requests.size(), 2u);
+  EXPECT_DOUBLE_EQ(spec.requests[0].deadline_seconds, 0.0025);
+  ASSERT_EQ(spec.requests[1].delta.add_links.size(), 1u);
+  EXPECT_EQ(spec.requests[1].delta.add_links[0].v, 4294967294u);
 }
 
 TEST(EngineReplay, RunAccountsForEveryRequest) {

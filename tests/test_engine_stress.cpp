@@ -88,8 +88,6 @@ void run_stress(const StressFixture& fx, Server& engine, std::size_t clients,
         PlaceRequest place;
         place.snapshot = fx.snapshot->hash();
         place.algorithm = Algorithm::GD;
-        // Vary intra-request threads across clients: results must not.
-        place.threads = 1 + (c % 3);
         futures.push_back(engine.submit(place));
         EvaluateRequest evaluate;
         evaluate.snapshot = fx.snapshot->hash();

@@ -109,10 +109,14 @@ TEST(Fusion, PartialEpochsMatchFilteredFk) {
       fusion.add_evidence(epoch);
       epochs.push_back(epoch);
       const std::vector<std::vector<NodeId>> candidates = fusion.candidates();
-      EXPECT_EQ(sorted(candidates), filtered_fk(paths, k, epochs))
+      const std::vector<std::vector<NodeId>> oracle =
+          filtered_fk(paths, k, epochs);
+      EXPECT_EQ(sorted(candidates), oracle)
           << "trial " << trial << " epoch " << e;
-      EXPECT_EQ(fusion.contradictory(), candidates.empty());
-      EXPECT_EQ(fusion.unique(), candidates.size() == 1);
+      EXPECT_EQ(fusion.contradictory(), oracle.empty())
+          << "trial " << trial << " epoch " << e;
+      EXPECT_EQ(fusion.unique(), oracle.size() == 1)
+          << "trial " << trial << " epoch " << e;
     }
     if (fusion.contradictory()) ++contradictory;
   }

@@ -65,6 +65,31 @@ TEST(GraphIo, RejectsIdBeyondHeader) {
   EXPECT_THROW(read_edge_list(in), InvalidInput);
 }
 
+TEST(GraphIo, RejectsTrailingTokensAndFractionalIdsByLine) {
+  for (const char* text : {"0 1\n1 2 junk\n", "0 1\n1 2.5\n",
+                           "0 1\n-1 2\n", "0 1\nnodes 3 4\n",
+                           "0 1\n0 4294967295\n"}) {
+    std::istringstream in(text);
+    try {
+      read_edge_list(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find("edge list line 2: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // '#' starts a comment anywhere on a line, as in docs/file-formats.md.
+  std::istringstream documented(
+      "# '#' starts a comment anywhere on a line\n"
+      "nodes 5        # optional header; preserves isolated nodes\n"
+      "0 1\n1 2\n3 4  # a trailing comment\n");
+  const Graph g = read_edge_list(documented);
+  EXPECT_EQ(g.node_count(), 5u);
+  EXPECT_EQ(g.edge_count(), 3u);
+  EXPECT_TRUE(g.has_edge(3, 4));
+}
+
 TEST(GraphIo, EmptyInputIsEmptyGraph) {
   std::istringstream in("");
   const Graph g = read_edge_list(in);

@@ -305,16 +305,23 @@ TEST(PathArenaInstance, WideSetGreedyPlacementsAreUnchanged) {
 }
 
 TEST(PathArenaInstance, ArenaPathsMatchLegacyPaths) {
+  // The legacy set is rebuilt from the routing table: one path per client,
+  // in client order, a repeated path kept once.
   Rng rng(77);
   const ProblemInstance inst = testing::random_instance(40, 80, 4, 3, 0.7, rng);
   for (std::size_t s = 0; s < inst.service_count(); ++s) {
     for (NodeId h : inst.candidate_hosts(s)) {
-      const PathSet& legacy = inst.paths_for(s, h);
+      PathSet legacy(inst.node_count());
+      for (NodeId c : inst.services()[s].clients)
+        legacy.add(MeasurementPath(inst.node_count(),
+                                   inst.routing().route(c, h)));
       const ArenaPathsRef ref = inst.arena_paths_for(s, h);
       ASSERT_EQ(ref.size(), legacy.size());
       const PathSet from_arena = ref.materialize();
+      ASSERT_EQ(from_arena.size(), legacy.size());
       for (std::size_t i = 0; i < legacy.size(); ++i)
-        EXPECT_TRUE(from_arena[i] == legacy[i]);
+        EXPECT_TRUE(from_arena[i] == legacy[i])
+            << "service " << s << " host " << h << " path " << i;
     }
   }
 }

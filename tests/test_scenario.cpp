@@ -96,6 +96,32 @@ TEST(ScenarioParse, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(ScenarioParse, RejectsNonFiniteRealsAndNodeIdsPastNodeIdRange) {
+  // Each probe's line 2 must be rejected: NaN passes a range check written
+  // as `x < 0 || x > 1`, and 4294967298 cast to a node id is node 2.
+  for (const char* doc :
+       {"topology tiscali\nalpha nan\nservices 1\n",
+        "topology tiscali\ncapacity nan\nservices 1\n",
+        "topology tiscali\ncapacity inf\nservices 1\n",
+        "service a 0\nedges 0-1 1-2 0-4294967298\n",
+        "service a 0\nedges 0-1 4294967295-1\n",
+        "topology tiscali\nservice a 4294967296\n"}) {
+    try {
+      parse_scenario(std::string(doc));
+      ADD_FAILURE() << "accepted: " << doc;
+    } catch (const InvalidInput& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario line 2: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const Scenario s = parse_scenario(std::string(
+      "service a 0\nedges 0-1 1-4294967294\ncapacity 2.5\n"));
+  ASSERT_EQ(s.edges.size(), 2u);
+  EXPECT_EQ(s.edges[1].v, 4294967294u);
+  EXPECT_EQ(s.capacity, 2.5);
+}
+
 TEST(ScenarioBuild, NamedTopologyAutoServices) {
   const Scenario s = parse_scenario(
       "topology tiscali\n"

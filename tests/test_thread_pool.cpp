@@ -195,61 +195,5 @@ TEST(ParallelChunkCount, Edges) {
   EXPECT_EQ(parallel_chunk_count(8, 8), 8u);
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  ThreadPool pool(4);
-  const long total = parallel_reduce(
-      pool, 10000, 0L,
-      [](std::size_t begin, std::size_t end) {
-        long sum = 0;
-        for (std::size_t i = begin; i < end; ++i)
-          sum += static_cast<long>(i);
-        return sum;
-      },
-      [](long acc, long partial) { return acc + partial; });
-  EXPECT_EQ(total, 10000L * 9999 / 2);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const int result = parallel_reduce(
-      pool, 0, 42, [](std::size_t, std::size_t) { return 7; },
-      [](int, int) { return -1; });
-  EXPECT_EQ(result, 42);
-}
-
-TEST(ParallelReduce, FoldsPartialsInChunkOrder) {
-  // The deterministic-arg-max contract: a first-wins combine must pick the
-  // earliest chunk among equal keys regardless of completion order.
-  ThreadPool pool(4);
-  struct Best {
-    int key = -1;
-    std::size_t begin = 0;
-  };
-  for (int round = 0; round < 20; ++round) {
-    const Best best = parallel_reduce(
-        pool, 64, Best{},
-        [](std::size_t begin, std::size_t) {
-          return Best{0, begin};  // every chunk ties on the key
-        },
-        [](Best acc, const Best& chunk) {
-          return chunk.key > acc.key ? chunk : acc;  // strict >: first wins
-        });
-    EXPECT_EQ(best.key, 0);
-    EXPECT_EQ(best.begin, 0u);  // always the first chunk
-  }
-}
-
-TEST(ParallelReduce, ExceptionInMapPropagates) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_reduce(
-                   pool, 10, 0,
-                   [](std::size_t begin, std::size_t) {
-                     if (begin == 0) throw std::runtime_error("bad map");
-                     return 0;
-                   },
-                   [](int acc, int) { return acc; }),
-               std::runtime_error);
-}
-
 }  // namespace
 }  // namespace splace
