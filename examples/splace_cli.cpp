@@ -43,6 +43,11 @@
 //                greedy; unit demand per service)
 //   --csv        print one CSV row instead of tables
 //   --dot PATH   write the topology as Graphviz DOT
+//
+// Exit codes: 0 on success; 2 on a bad flag or malformed input (a replay,
+// scenario or edge-list file the parsers reject, or a service no host can
+// serve), with the message on stderr; 3 when --capacity leaves a service
+// unplaced.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -215,11 +220,9 @@ Placement compute(const CliOptions& opts, const ProblemInstance& instance) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions opts = parse(argc, argv);
-
+// Runs the chosen mode. Malformed input (a replay, scenario or edge-list
+// file, an unservable service) escapes as InvalidInput.
+int run(const CliOptions& opts) {
   if (!opts.replay.empty()) {
     std::ifstream in(opts.replay);
     if (!in) usage_error("cannot open '" + opts.replay + "'");
@@ -371,4 +374,16 @@ int main(int argc, char** argv) {
     print_assessment(assess(paths), std::cout);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions opts = parse(argc, argv);
+  try {
+    return run(opts);
+  } catch (const InvalidInput& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 2;
+  }
 }

@@ -19,13 +19,16 @@ ASAN_SUITES="test_thread_pool test_engine test_engine_stress \
   test_localization test_sim test_sim_trace test_equivalence \
   test_objective_gain test_metric_relations test_experiment test_scenario \
   test_failure_sets test_identifiability test_distinguishability \
-  test_interest test_fusion test_instance test_graph_io"
+  test_interest test_fusion test_instance test_graph_io test_routing \
+  test_shortest_path test_generators test_graph_stats"
 UBSAN_SUITES="test_path_arena test_kernels test_stochastic test_greedy \
   test_lazy_greedy test_objective_gain test_equivalence test_bitset \
   test_cascade test_shard test_algorithm_registry test_portfolio \
   test_localization test_stream test_sim test_sim_trace \
   test_failure_sets test_identifiability test_distinguishability \
-  test_interest test_metrics_text test_fusion test_instance test_graph_io"
+  test_interest test_metrics_text test_fusion test_instance test_graph_io \
+  test_routing test_shortest_path test_generators test_graph_stats \
+  test_dynamic"
 
 require_suites() {
   dir="$1"; shift
@@ -67,14 +70,17 @@ ctest --test-dir build-tsan --output-on-failure \
 # localizer's callers that read incidence rows: evidence fusion over its two
 # path unions, and placement_incidence over the arena's deduplicated rows.
 # The graph-io suite joins the scenario and replay suites for the one number
-# parser of the line grammars.
+# parser of the line grammars. The routing, shortest-path, generator and
+# graph-stats suites cover bfs_trees' per-pass scratch (root masks, the
+# active bitmap, the root-major rows) and the Fenwick sampler behind
+# preferential_attachment.
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-asan --target $ASAN_SUITES
 require_suites build-asan $ASAN_SUITES
 ctest --test-dir build-asan --output-on-failure \
-  -R "ThreadPool|ParallelFor|ParallelChunkCount|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance|GraphIo"
+  -R "ThreadPool|ParallelFor|ParallelChunkCount|Engine|Dynamic|AdaptiveController|CacheAccounting|RequestBuilder|Facade|StreamIngest|EventBus|EngineStream|ApiBuilders|MetricsText|PathArena|Kernels|Stochastic|Cascade|Shard|Exposition|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|Simulator|SimTrace|Equivalence|ObjectiveGain|RandomPathSets|MetricRelations|Experiment|Scenario|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance|GraphIo|Routing|Bfs|Generators|MeanDistance"
 
 # UBSan pass over the kernel/arena/placement arithmetic: the word-parallel
 # kernels live on shifts, casts, and pointer spans — exactly UBSan territory.
@@ -83,14 +89,17 @@ ctest --test-dir build-asan --output-on-failure \
 # class combinations and saturating 64/128-bit counts, the simulator's
 # event loop with and without the cascade overlay, the metrics text
 # writer's log2 bucket shifts and label stack, the fusion and instance
-# suites' incidence rows, and the edge-list reader's node-id bound.
+# suites' incidence rows, and the edge-list reader's node-id bound. So do
+# bfs_trees' 64-bit root masks and bit shifts (the routing, shortest-path,
+# graph-stats and dynamic suites, whose routing updates run the kernel on
+# arbitrary root lists) and the Fenwick sampler's prefix-sum descent.
 cmake -B build-ubsan -G Ninja -DSPLACE_SANITIZE=undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
 cmake --build build-ubsan --target $UBSAN_SUITES
 require_suites build-ubsan $UBSAN_SUITES
 ctest --test-dir build-ubsan --output-on-failure \
-  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|MetricsText|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance|GraphIo"
+  -R "PathArena|Kernels|Stochastic|Greedy|Objective|Equivalence|Bitset|Cascade|Shard|Exposition|MetricsText|Replay|Portfolio|AlgorithmRegistry|MisCertificate|PairCover|Localizer|Observation|StreamIngest|Simulator|SimTrace|FailureSet|SignatureGroups|FailurePartition|PartitionMatchesExact|Identifiability|DefinitionOracle|NonIdentifiable|Distinguishability|Lemma3|UncertaintyOf|Interest|Fusion|Instance|GraphIo|Routing|Bfs|Generators|MeanDistance|Dynamic"
 
 # Warnings-as-errors leg: one full build with the warning set promoted to
 # errors, so a new -Wall/-Wextra/-Wconversion diagnostic fails the script

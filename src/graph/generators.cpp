@@ -1,7 +1,9 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -72,21 +74,84 @@ Graph random_tree(std::size_t n, Rng& rng) {
   return g;
 }
 
+namespace {
+
+// Integer node weights with O(log n) updates and prefix-sum search.
+class FenwickTree {
+ public:
+  explicit FenwickTree(std::size_t n) : sums_(n + 1, 0), weights_(n, 0) {}
+
+  std::uint64_t total() const { return total_; }
+  std::uint64_t weight(std::size_t i) const { return weights_[i]; }
+
+  void add(std::size_t i, std::uint64_t delta) {
+    weights_[i] += delta;
+    total_ += delta;
+    for (std::size_t j = i + 1; j < sums_.size(); j += j & (~j + 1))
+      sums_[j] += delta;
+  }
+
+  void remove(std::size_t i, std::uint64_t delta) {
+    weights_[i] -= delta;
+    total_ -= delta;
+    for (std::size_t j = i + 1; j < sums_.size(); j += j & (~j + 1))
+      sums_[j] -= delta;
+  }
+
+  /// The smallest i whose prefix sum w_0 + ... + w_i exceeds `target`, or
+  /// the size when none does.
+  std::size_t first_exceeding(std::uint64_t target) const {
+    std::size_t pos = 0;
+    for (std::size_t step = std::bit_floor(sums_.size() - 1); step != 0;
+         step >>= 1) {
+      if (pos + step < sums_.size() && sums_[pos + step] <= target) {
+        pos += step;
+        target -= sums_[pos];
+      }
+    }
+    return pos;
+  }
+
+ private:
+  std::vector<std::uint64_t> sums_;
+  std::vector<std::uint64_t> weights_;
+  std::uint64_t total_ = 0;
+};
+
+}  // namespace
+
 Graph preferential_attachment(std::size_t n, std::size_t m, Rng& rng) {
   SPLACE_EXPECTS(m >= 1 && n > m);
   Graph g = complete_graph(m + 1);
+  // Draws the picks Rng::weighted_index would draw over the degree vector,
+  // one uniform01() each. Degrees are integers, so the total and every
+  // prefix sum W_i are exact doubles, each `draw -= w` step is exact while
+  // the draw stays non-negative, and the first negative result has the
+  // exact sign: the pick is the first i with fl(u * total) < W_i, which the
+  // Fenwick tree finds without the O(n) scan.
+  FenwickTree degrees(n);
+  for (NodeId u = 0; u <= m; ++u) degrees.add(u, m);
+  std::vector<NodeId> targets;
   for (NodeId v = static_cast<NodeId>(m + 1); v < n; ++v) {
     g.add_node();
-    std::vector<double> weights(v);
-    for (NodeId u = 0; u < v; ++u)
-      weights[u] = static_cast<double>(g.degree(u));
-    std::vector<NodeId> targets;
+    targets.clear();
     while (targets.size() < m) {
-      const NodeId pick = static_cast<NodeId>(rng.weighted_index(weights));
-      weights[pick] = 0.0;  // sample without replacement
+      const double draw =
+          rng.uniform01() * static_cast<double>(degrees.total());
+      auto pick = static_cast<NodeId>(
+          degrees.first_exceeding(static_cast<std::uint64_t>(draw)));
+      if (pick >= v) {
+        // The draw rounded up to the total: weighted_index's fallback to
+        // the last positive weight.
+        pick = v - 1;
+        while (pick > 0 && degrees.weight(pick) == 0) --pick;
+      }
+      degrees.remove(pick, degrees.weight(pick));  // without replacement
       targets.push_back(pick);
     }
     for (NodeId t : targets) g.add_edge(v, t);
+    for (NodeId t : targets) degrees.add(t, g.degree(t));
+    degrees.add(v, m);
   }
   return g;
 }

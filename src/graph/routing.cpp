@@ -53,8 +53,9 @@ bool remove_affects_tree(const BfsTree& t, NodeId u, NodeId v) {
 
 RoutingTable::RoutingTable(const Graph& g) {
   trees_.reserve(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v)
-    trees_.push_back(std::make_shared<const BfsTree>(bfs_tree(g, v)));
+  bfs_trees(g, g.nodes(), [&](std::size_t, BfsTree&& tree) {
+    trees_.push_back(std::make_shared<const BfsTree>(std::move(tree)));
+  });
 }
 
 void RoutingTable::check_node(NodeId v) const {
@@ -140,8 +141,9 @@ RoutingTable RoutingTable::update(const Graph& updated,
   }
 
   std::vector<std::shared_ptr<const BfsTree>> trees = trees_;
-  for (NodeId r : affected)
-    trees[r] = std::make_shared<const BfsTree>(bfs_tree(updated, r));
+  bfs_trees(updated, affected, [&](std::size_t i, BfsTree&& tree) {
+    trees[affected[i]] = std::make_shared<const BfsTree>(std::move(tree));
+  });
   return RoutingTable(std::move(trees));
 }
 

@@ -4,12 +4,13 @@
 // client-server pair (Section II-A). RoutingTable realizes that assumption:
 // it precomputes one deterministic BFS tree per node and always derives the
 // route for a pair {a, b} from the tree rooted at min(a, b), so the route is
-// unique, orientation-independent, and stable across runs.
+// unique, orientation-independent, and stable across runs. The trees come
+// from bfs_trees, 64 roots per multi-source pass, and equal bfs_tree's.
 //
 // Trees are held behind shared_ptr so that update() — the reuse-aware
 // incremental rebuild used by the dynamic-topology subsystem — can share
 // every tree a batch of link mutations provably cannot change with the
-// parent table instead of re-running its BFS.
+// parent table and rebuild only the others, as one bfs_trees call.
 #pragma once
 
 #include <memory>
@@ -24,7 +25,8 @@ struct TopologyDelta;  // src/dynamic/delta.hpp
 
 class RoutingTable {
  public:
-  /// Precomputes BFS trees from every node: O(|N|(|N|+|L|)).
+  /// Precomputes BFS trees from every node: O(|N|(|N|+|L|)) in the worst
+  /// case, 64 roots per pass of bfs_trees.
   explicit RoutingTable(const Graph& g);
 
   std::size_t node_count() const { return trees_.size(); }
@@ -52,9 +54,9 @@ class RoutingTable {
   /// Reuse-aware rebuild against `updated`, the graph this table's graph
   /// becomes after applying `delta`'s link mutations (client mutations are
   /// routing-irrelevant). Only the trees whose routes can change are
-  /// recomputed: a per-root sweep over the mutated endpoints' old distances
-  /// and parents proves the rest unchanged, and those are shared with this
-  /// table. Past `full_rebuild_fraction` of affected roots the update falls
+  /// recomputed, in one bfs_trees call: a per-root sweep over the mutated
+  /// endpoints' old distances and parents proves the rest unchanged, and
+  /// those are shared with this table. Past `full_rebuild_fraction` of affected roots the update falls
   /// back to a plain full rebuild (reported through `fell_back_to_full` when
   /// non-null). The result is bit-identical (distances and parents, hence
   /// routes) to `RoutingTable(updated)`.

@@ -1,11 +1,40 @@
 #include "graph/shortest_path.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <functional>
 
+#include "util/bitset.hpp"
 #include "util/error.hpp"
 
 namespace splace {
+
+namespace {
+
+constexpr std::size_t kBatch = 64;  // roots per pass: one bit of a word each
+
+// Grows a tree breadth-first from fifo[0, tail), every node of its deepest
+// settled level in any order; `fifo` has room for every node. Each newly
+// reached node's parent is its smallest-id neighbor one level up, whatever
+// order the queue holds a level in.
+void grow(const Graph& g, std::uint32_t* dist, NodeId* parent, NodeId* fifo,
+          std::size_t tail) {
+  for (std::size_t head = 0; head < tail; ++head) {
+    const NodeId u = fifo[head];
+    const std::uint32_t below = dist[u] + 1;
+    for (NodeId v : g.neighbors(u)) {
+      if (dist[v] == kUnreachable) {
+        dist[v] = below;
+        parent[v] = u;
+        fifo[tail++] = v;
+      } else if (dist[v] == below && u < parent[v]) {
+        parent[v] = u;
+      }
+    }
+  }
+}
+
+}  // namespace
 
 BfsTree bfs_tree(const Graph& g, NodeId source) {
   SPLACE_EXPECTS(g.is_valid_node(source));
@@ -15,25 +44,125 @@ BfsTree bfs_tree(const Graph& g, NodeId source) {
   tree.dist.assign(n, kUnreachable);
   tree.parent.assign(n, kInvalidNode);
   tree.dist[source] = 0;
-
-  std::deque<NodeId> queue{source};
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : g.neighbors(u)) {
-      if (tree.dist[v] == kUnreachable) {
-        tree.dist[v] = tree.dist[u] + 1;
-        tree.parent[v] = u;
-        queue.push_back(v);
-      } else if (tree.dist[v] == tree.dist[u] + 1 && u < tree.parent[v]) {
-        // Deterministic tie-break: among equal-distance predecessors keep the
-        // smallest id. Neighbors are visited in ascending order, but a later
-        // BFS layer node can still offer a smaller predecessor; normalize.
-        tree.parent[v] = u;
-      }
-    }
-  }
+  std::vector<NodeId> queue(n);
+  queue[0] = source;
+  grow(g, tree.dist.data(), tree.parent.data(), queue.data(), 1);
   return tree;
+}
+
+void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
+               const std::function<void(std::size_t, BfsTree&&)>& emit) {
+  for (NodeId r : roots) SPLACE_EXPECTS(g.is_valid_node(r));
+  const std::size_t n = g.node_count();
+
+  // One pass's trees, root-major: row b holds the distances (parents) of
+  // the pass's root b, valid where `seen` holds bit b.
+  const std::size_t rows = std::min(kBatch, roots.size());
+  std::vector<std::uint32_t> dist_rows(rows * n);
+  std::vector<NodeId> parent_rows(rows * n);
+  std::uint32_t* dist[kBatch];
+  NodeId* parent[kBatch];
+  // Per node, one bit per root of the pass: `seen` holds the roots that
+  // have reached the node, `frontier` those that reached it at the current
+  // level and `next` those that reach it at the level being built. `active`
+  // marks the nodes `next` is nonzero for, so the next frontier comes out in
+  // ascending id order. `reached` lists the nodes any root has reached.
+  std::vector<std::uint64_t> seen(n), frontier(n), next(n);
+  std::vector<std::uint64_t> active((n + 63) / 64);
+  std::vector<NodeId> level_nodes, reached, queue(n);
+
+  for (std::size_t base = 0; base < roots.size(); base += kBatch) {
+    const std::size_t width = std::min(kBatch, roots.size() - base);
+    for (NodeId v : reached) seen[v] = 0;
+    reached.clear();
+    level_nodes.clear();
+    for (std::size_t b = 0; b < width; ++b) {
+      const NodeId r = roots[base + b];
+      dist[b] = dist_rows.data() + b * n;
+      parent[b] = parent_rows.data() + b * n;
+      dist[b][r] = 0;
+      parent[b][r] = kInvalidNode;
+      if (frontier[r] == 0) level_nodes.push_back(r);
+      frontier[r] |= std::uint64_t{1} << b;
+      seen[r] |= std::uint64_t{1} << b;
+    }
+    std::sort(level_nodes.begin(), level_nodes.end());
+    reached = level_nodes;
+
+    // Root bits per frontier node at the previous level, as bits/nodes
+    // (the roots' own level says nothing of sharing, so level 1 always runs).
+    std::size_t last_bits = 0;
+    std::size_t last_nodes = 0;
+    for (std::uint32_t level = 1; !level_nodes.empty(); ++level) {
+      // Frontier nodes in ascending id, so the first neighbor to hand a root
+      // bit to v is v's smallest-id parent for that root, as in bfs_tree.
+      for (NodeId u : level_nodes) {
+        const std::uint64_t from = frontier[u];
+        frontier[u] = 0;
+        for (NodeId v : g.neighbors(u)) {
+          std::uint64_t fresh = from & ~seen[v];
+          if (fresh == 0) continue;
+          if (seen[v] == 0) reached.push_back(v);
+          seen[v] |= fresh;
+          next[v] |= fresh;
+          active[v / 64] |= std::uint64_t{1} << (v % 64);
+          do {
+            const auto b = static_cast<unsigned>(std::countr_zero(fresh));
+            dist[b][v] = level;
+            parent[b][v] = u;
+            fresh &= fresh - 1;
+          } while (fresh != 0);
+        }
+      }
+      level_nodes.clear();
+      std::size_t bits = 0;
+      for (std::size_t w = 0; w < active.size(); ++w) {
+        for (std::uint64_t word = active[w]; word != 0; word &= word - 1) {
+          const auto v = static_cast<NodeId>(
+              w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+          level_nodes.push_back(v);
+          frontier[v] = next[v];
+          next[v] = 0;
+          bits += popcount64(frontier[v]);
+        }
+        active[w] = 0;
+      }
+
+      // A pass pays per frontier node and a one-root search per root bit, so
+      // the pass only wins where frontiers share roots. Once the frontier
+      // carries fewer than kShared bits per node and is no longer widening
+      // (long paths, rings, grids, or the last levels of any search), the
+      // pass stops and each root's search goes on alone from this level.
+      constexpr std::size_t kShared = 4;
+      const std::size_t nodes = level_nodes.size();
+      if (level > 1 && bits < kShared * nodes &&
+          4 * bits * last_nodes < 5 * last_bits * nodes)
+        break;
+      last_bits = bits;
+      last_nodes = nodes;
+    }
+
+    // Copy each tree out of its row and finish any search the pass left,
+    // from the root's frontier nodes (none when the pass ran to the end).
+    for (std::size_t b = 0; b < width; ++b) {
+      BfsTree tree;
+      tree.source = roots[base + b];
+      tree.dist.assign(n, kUnreachable);
+      tree.parent.assign(n, kInvalidNode);
+      for (NodeId v : reached) {
+        if ((seen[v] >> b) & 1) {
+          tree.dist[v] = dist[b][v];
+          tree.parent[v] = parent[b][v];
+        }
+      }
+      std::size_t tail = 0;
+      for (NodeId v : level_nodes)
+        if ((frontier[v] >> b) & 1) queue[tail++] = v;
+      grow(g, tree.dist.data(), tree.parent.data(), queue.data(), tail);
+      emit(base + b, std::move(tree));
+    }
+    for (NodeId v : level_nodes) frontier[v] = 0;
+  }
 }
 
 std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {

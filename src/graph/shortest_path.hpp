@@ -1,9 +1,12 @@
 // Shortest-path machinery. The paper's QoS measure is hop count under
-// shortest-path routing (Section III-A), so BFS is the workhorse; a Dijkstra
-// variant over per-edge weights is provided for weighted extensions.
+// shortest-path routing (Section III-A), so BFS is the workhorse: bfs_tree
+// builds one root's tree and is the oracle for bfs_trees, which builds many
+// roots' trees 64 to a pass. A Dijkstra variant over per-edge weights is
+// provided for weighted extensions.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -28,6 +31,19 @@ struct BfsTree {
 };
 
 BfsTree bfs_tree(const Graph& g, NodeId source);
+
+/// Builds the BFS tree of every root in `roots` and hands it to
+/// `emit(i, tree)` for i = 0, 1, ... in order; each tree is bit-identical to
+/// bfs_tree(g, roots[i]). Roots go 64 to a pass of one multi-source BFS
+/// (after Then et al., "The More the Merrier", VLDB 2015): each node keeps a
+/// 64-bit mask of the pass's roots that have reached it, so one scan of a
+/// frontier node's neighbors advances every root whose frontier holds it,
+/// and the first frontier neighbor in ascending id to hand v a root's bit is
+/// v's parent for that root. Once a pass's frontier stops sharing roots
+/// (long paths, rings, grids, the last levels of any search) each root's
+/// search goes on alone, as bfs_tree's. Scratch is local to the call.
+void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
+               const std::function<void(std::size_t, BfsTree&&)>& emit);
 
 /// Hop distances only (no parents).
 std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source);

@@ -40,16 +40,17 @@ double clustering_coefficient(const Graph& g) {
 }
 
 double mean_distance(const Graph& g) {
+  // Trees arrive in root order, so the sum runs in the same order as a
+  // per-root loop and the double comes out the same.
   double total = 0;
   std::size_t pairs = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto dist = bfs_distances(g, v);
+  bfs_trees(g, g.nodes(), [&](std::size_t v, BfsTree&& tree) {
     for (NodeId w = 0; w < g.node_count(); ++w) {
-      if (w == v || dist[w] == kUnreachable) continue;
-      total += static_cast<double>(dist[w]);
+      if (w == v || tree.dist[w] == kUnreachable) continue;
+      total += static_cast<double>(tree.dist[w]);
       ++pairs;
     }
-  }
+  });
   return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
 }
 

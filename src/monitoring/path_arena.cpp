@@ -19,6 +19,45 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
 
 constexpr std::uint64_t kFnvSeed = 1469598103934665603ull;
 
+/// Folds an FNV hash's high bits into its low ones, which pick the slot: the
+/// multiply only carries bits upward, so without it contents that differ
+/// only in high bits would cluster (as signature_row_hash does).
+std::uint64_t finalized(std::uint64_t hash) {
+  hash ^= hash >> 32;
+  hash *= 0xbf58476d1ce4e5b9ull;
+  hash ^= hash >> 29;
+  return hash;
+}
+
+/// The slot of the id `equal` accepts, or the empty slot where a new id
+/// with this hash goes.
+template <typename Equal>
+std::size_t probe(const std::vector<std::uint32_t>& slots,
+                  std::uint64_t hash, Equal equal) {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = static_cast<std::size_t>(hash) & mask;;
+       i = (i + 1) & mask)
+    if (slots[i] == 0 || equal(slots[i] - 1)) return i;
+}
+
+/// Stores `id` at `slot`, first doubling the table (re-placing ids
+/// 0..id-1 by `hash_of`) when it would pass half full.
+template <typename HashOf>
+void insert(std::vector<std::uint32_t>& slots, std::size_t slot,
+            std::uint32_t id, HashOf hash_of) {
+  if (2 * (std::size_t{id} + 1) <= slots.size()) {
+    slots[slot] = id + 1;
+    return;
+  }
+  slots.assign(2 * slots.size(), 0);
+  const std::size_t mask = slots.size() - 1;
+  for (std::uint32_t old = 0; old <= id; ++old) {
+    std::size_t i = static_cast<std::size_t>(hash_of(old)) & mask;
+    while (slots[i] != 0) i = (i + 1) & mask;
+    slots[i] = old + 1;
+  }
+}
+
 }  // namespace
 
 PathSet ArenaPathsRef::materialize() const {
@@ -49,32 +88,28 @@ std::uint32_t PathArena::intern_path(const std::vector<NodeId>& nodes) {
     hash = fnv1a(hash, build_masks_[w]);
   }
 
-  std::uint32_t row = 0;
-  bool found = false;
-  std::vector<std::uint32_t>& bucket = rows_by_hash_[hash];
-  for (std::uint32_t candidate : bucket) {
-    const std::size_t n = row_word_count(candidate);
-    if (n != build_words_.size()) continue;
-    bool equal = true;
-    const std::uint32_t* words = row_words(candidate);
-    const std::uint64_t* masks = row_masks(candidate);
-    for (std::size_t i = 0; i < n && equal; ++i)
-      equal = words[i] == build_words_[i] &&
-              masks[i] == build_masks_[build_words_[i]];
-    if (equal) {
-      row = candidate;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
+  const std::size_t slot =
+      probe(row_slots_, finalized(hash), [&](std::uint32_t candidate) {
+        const std::size_t n = row_word_count(candidate);
+        if (n != build_words_.size()) return false;
+        const std::uint32_t* words = row_words(candidate);
+        const std::uint64_t* masks = row_masks(candidate);
+        for (std::size_t i = 0; i < n; ++i)
+          if (words[i] != build_words_[i] ||
+              masks[i] != build_masks_[build_words_[i]])
+            return false;
+        return true;
+      });
+  std::uint32_t row = row_slots_[slot] - 1;
+  if (row_slots_[slot] == 0) {
     row = static_cast<std::uint32_t>(row_count());
     for (std::uint32_t w : build_words_) {
       row_words_.push_back(w);
       row_masks_.push_back(build_masks_[w]);
     }
     row_offsets_.push_back(static_cast<std::uint32_t>(row_words_.size()));
-    bucket.push_back(row);
+    insert(row_slots_, slot, row,
+           [this](std::uint32_t r) { return finalized(row_hash(r)); });
   }
   for (std::uint32_t w : build_words_) build_masks_[w] = 0;
   return row;
@@ -94,17 +129,19 @@ std::uint32_t PathArena::intern_set(const std::vector<std::uint32_t>& rows) {
 
   std::uint64_t hash = kFnvSeed;
   for (std::uint32_t r : distinct) hash = fnv1a(hash, r);
-  std::vector<std::uint32_t>& bucket = sets_by_hash_[hash];
-  for (std::uint32_t candidate : bucket) {
-    if (set_size(candidate) != distinct.size()) continue;
-    const std::uint32_t* stored = set_rows(candidate);
-    if (std::equal(distinct.begin(), distinct.end(), stored)) return candidate;
-  }
+  const std::size_t slot =
+      probe(set_slots_, finalized(hash), [&](std::uint32_t candidate) {
+        return set_size(candidate) == distinct.size() &&
+               std::equal(distinct.begin(), distinct.end(),
+                          set_rows(candidate));
+      });
+  if (set_slots_[slot] != 0) return set_slots_[slot] - 1;
 
   const auto set = static_cast<std::uint32_t>(set_count());
   set_rows_.insert(set_rows_.end(), distinct.begin(), distinct.end());
   set_offsets_.push_back(static_cast<std::uint32_t>(set_rows_.size()));
-  bucket.push_back(set);
+  insert(set_slots_, slot, set,
+         [this](std::uint32_t s) { return finalized(set_hash(s)); });
 
   // Union row: k-way merge of the member rows' sorted sparse words.
   std::vector<std::size_t> cursor(distinct.size());
@@ -142,6 +179,24 @@ std::uint32_t PathArena::intern_set(const std::vector<std::uint32_t>& rows) {
   set_sig_offsets_.push_back(
       static_cast<std::uint32_t>(set_sig_nodes_.size()));
   return set;
+}
+
+std::uint64_t PathArena::row_hash(std::uint32_t row) const {
+  const std::uint32_t* words = row_words(row);
+  const std::uint64_t* masks = row_masks(row);
+  std::uint64_t hash = kFnvSeed;
+  for (std::size_t i = 0; i < row_word_count(row); ++i) {
+    hash = fnv1a(hash, words[i]);
+    hash = fnv1a(hash, masks[i]);
+  }
+  return hash;
+}
+
+std::uint64_t PathArena::set_hash(std::uint32_t set) const {
+  const std::uint32_t* rows = set_rows(set);
+  std::uint64_t hash = kFnvSeed;
+  for (std::size_t i = 0; i < set_size(set); ++i) hash = fnv1a(hash, rows[i]);
+  return hash;
 }
 
 void PathArena::check_row(std::uint32_t row) const {

@@ -23,12 +23,12 @@
 // Everything is index-based (no per-path heap objects), so a snapshot's
 // arena is shared read-only across any number of threads, and the whole
 // structure copies with a handful of memcpys when a derived instance needs
-// to extend it.
+// to extend it: the intern tables that find an equal row or set are flat
+// open-addressing arrays of ids too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -109,7 +109,8 @@ class PathArena {
   PathSet materialize_set(std::uint32_t set) const;
 
   /// Total heap bytes of every plane (the "bytes/node" numerator reported
-  /// by bench_scale; excludes the intern maps, which exist only for builds).
+  /// by bench_scale; excludes the intern tables, which exist only for
+  /// builds).
   std::size_t bytes() const;
 
  private:
@@ -131,13 +132,18 @@ class PathArena {
   std::vector<std::uint32_t> set_sig_nodes_;
   std::vector<std::uint64_t> set_sig_values_;
 
-  /// Content hash -> candidate ids (collision chains resolved by compare).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> rows_by_hash_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> sets_by_hash_;
+  /// Intern tables: power-of-two open addressing over content hashes,
+  /// linear probing, each slot holding id + 1 (0 = empty), at most half
+  /// full. A probe compares contents, so a hash collision costs a compare.
+  std::vector<std::uint32_t> row_slots_ = std::vector<std::uint32_t>(16, 0);
+  std::vector<std::uint32_t> set_slots_ = std::vector<std::uint32_t>(16, 0);
 
   /// Scratch for intern_path: dense word accumulation of the incoming path.
   std::vector<std::uint64_t> build_masks_;
   std::vector<std::uint32_t> build_words_;
+
+  std::uint64_t row_hash(std::uint32_t row) const;
+  std::uint64_t set_hash(std::uint32_t set) const;
 
   void check_row(std::uint32_t row) const;
   void check_set(std::uint32_t set) const;

@@ -38,6 +38,11 @@ LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
 
   using ProfileClock = std::chrono::steady_clock;
   const bool profiling = static_cast<bool>(options.profile_round);
+  // Round 0 starts before the initial heap: its gains are round 0's first
+  // evaluations, so the profiles account for every evaluation.
+  ProfileClock::time_point round_start =
+      profiling ? ProfileClock::now() : ProfileClock::time_point{};
+  std::size_t evaluations_before = 0;
 
   // Initial heap: every (service, host) pair's standalone gain.
   std::vector<HeapEntry> initial;
@@ -53,9 +58,10 @@ LazyGreedyResult lazy_greedy_placement(const ProblemInstance& instance,
                                       std::move(initial));
 
   for (std::size_t iter = 0; iter < n_services; ++iter) {
-    const ProfileClock::time_point round_start =
-        profiling ? ProfileClock::now() : ProfileClock::time_point{};
-    const std::size_t evaluations_before = result.evaluations;
+    if (iter > 0) {
+      if (profiling) round_start = ProfileClock::now();
+      evaluations_before = result.evaluations;
+    }
     while (true) {
       SPLACE_ENSURES(!heap.empty());
       HeapEntry top = heap.top();

@@ -15,9 +15,14 @@ namespace splace {
 struct GreedyRoundProfile {
   std::size_t round = 0;        ///< commit index, 0-based
   std::size_t candidates = 0;   ///< unplaced (service, host) pairs this round
-  std::size_t evaluations = 0;  ///< gain evaluations performed (lazy greedy
-                                ///< evaluates fewer than `candidates`)
+  std::size_t evaluations = 0;  ///< gain evaluations performed (lazy and
+                                ///< stochastic greedy evaluate fewer than
+                                ///< `candidates`; lazy greedy's round 0
+                                ///< counts its initial heap build), so the
+                                ///< rounds sum to the search's evaluations
   double seconds = 0;           ///< wall time of the round's arg-max + commit
+                                ///< (lazy greedy's round 0 includes the heap
+                                ///< build)
   std::size_t service = 0;      ///< committed service index
   std::uint32_t host = 0;       ///< committed host (NodeId)
   double gain = 0;              ///< committed marginal gain

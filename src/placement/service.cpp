@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <unordered_set>
 
 #include "placement/candidates.hpp"
@@ -54,6 +55,14 @@ void ProblemInstance::check_service_inputs(const Service& svc) const {
 std::shared_ptr<const ServicePlan> ProblemInstance::build_plan(
     const Service& svc) {
   const std::size_t n = node_count();
+  // Clients in different components share no host; say which service.
+  for (NodeId c : svc.clients)
+    if (!routing_.reachable(svc.clients.front(), c))
+      throw InvalidInput("service '" + svc.name + "' clients: " +
+                         std::to_string(svc.clients.front()) + " and " +
+                         std::to_string(c) +
+                         " lie in different components, so no host "
+                         "reaches every client");
   DistanceProfile profile = provider_
                                 ? provider_profile(svc.clients)
                                 : distance_profile(routing_, svc.clients);

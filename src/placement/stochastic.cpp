@@ -1,6 +1,7 @@
 #include "placement/stochastic.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 
 #include "util/error.hpp"
@@ -40,7 +41,13 @@ StochasticGreedyResult stochastic_greedy_placement(
   std::vector<std::size_t> sample;   // this round's draw
   alive.reserve(cands.size());
 
+  using ProfileClock = std::chrono::steady_clock;
+  const bool profiling = static_cast<bool>(options.profile_round);
+
   for (std::size_t round = 0; round < n_services; ++round) {
+    const ProfileClock::time_point round_start =
+        profiling ? ProfileClock::now() : ProfileClock::time_point{};
+    const std::size_t evaluations_before = result.evaluations;
     alive.clear();
     for (std::size_t i = 0; i < cands.size(); ++i)
       if (!placed[cands[i].service]) alive.push_back(i);
@@ -103,6 +110,20 @@ StochasticGreedyResult stochastic_greedy_placement(
     result.order.push_back(winner.service);
     result.gains.push_back(best_gain);
     state->add_paths(instance.arena_paths_for(winner.service, winner.host));
+
+    if (profiling) {
+      GreedyRoundProfile profile;
+      profile.round = round;
+      profile.candidates = alive.size();
+      profile.evaluations = result.evaluations - evaluations_before;
+      profile.seconds = std::chrono::duration<double>(ProfileClock::now() -
+                                                      round_start)
+                            .count();
+      profile.service = winner.service;
+      profile.host = winner.host;
+      profile.gain = best_gain;
+      options.profile_round(profile);
+    }
   }
 
   result.objective_value = state->value();

@@ -245,6 +245,49 @@ TEST(DynamicRoutingUpdate, RandomizedSequencesAreBitIdentical) {
   }
 }
 
+// update() and RoutingTable(updated) now run the same kernel, so each
+// recomputed tree is also held against the one-root search.
+TEST(DynamicRoutingUpdate, RecomputedTreesMatchPerRootBfs) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    double full_rebuild_fraction;
+  };
+  Rng gen(12);
+  std::vector<Case> cases;
+  cases.push_back({"ba", preferential_attachment(200, 2, gen), 0.5});
+  cases.push_back({"ba-full", preferential_attachment(150, 2, gen), 0.0});
+  cases.push_back({"er", erdos_renyi(120, 0.03, gen), 0.5});
+  cases.push_back({"grid", grid_graph(9, 14), 0.9});
+  cases.push_back({"ring", ring_graph(140), 0.9});
+  for (Case& c : cases) {
+    Rng rng(202);
+    Graph g = std::move(c.graph);
+    RoutingTable table(g);
+    std::size_t recomputed = 0;
+    for (std::size_t round = 0; round < 5; ++round) {
+      const TopologyDelta delta = random_link_delta(g, 2, 1, rng);
+      if (delta.empty()) continue;
+      const Graph updated = apply_delta(g, delta);
+      const RoutingTable incremental =
+          table.update(updated, delta, c.full_rebuild_fraction);
+      SCOPED_TRACE(std::string(c.name) + " round " +
+                   std::to_string(round));
+      for (NodeId r = 0; r < g.node_count(); ++r) {
+        if (incremental.shares_tree(table, r)) continue;
+        ++recomputed;
+        const BfsTree expected = bfs_tree(updated, r);
+        ASSERT_EQ(incremental.tree(r).dist, expected.dist) << "root " << r;
+        ASSERT_EQ(incremental.tree(r).parent, expected.parent)
+            << "root " << r;
+      }
+      g = updated;
+      table = incremental;
+    }
+    EXPECT_GT(recomputed, 0u) << c.name;
+  }
+}
+
 TEST(DynamicRoutingUpdate, ClientOnlyDeltaSharesEveryTree) {
   const Graph g = grid_graph(5, 5);
   RoutingTable base(g);

@@ -16,6 +16,9 @@
 #include "engine/engine.hpp"
 #include "graph/generators.hpp"
 #include "placement/greedy.hpp"
+#include "placement/lazy_greedy.hpp"
+#include "placement/stochastic.hpp"
+#include "util/random.hpp"
 #include "util/error.hpp"
 
 namespace splace::engine {
@@ -161,6 +164,87 @@ TEST(EngineTrace, GreedyPlaceTracesPerRoundProfiles) {
     gain_total += rounds[r].gain;
   }
   EXPECT_NEAR(gain_total, result.place.objective_value, 1e-9);
+}
+
+TEST(EngineTrace, LazyAndStochasticGreedyTraceEveryRound) {
+  Fixture fx;
+  EngineConfig config;
+  config.tracing = true;
+  Engine engine(fx.registry, config);
+  for (const char* name : {"lazy_greedy", "stochastic_greedy"}) {
+    SCOPED_TRACE(name);
+    PlaceRequest request = fx.place();
+    request.algorithm_name = name;
+    const EngineResult result = engine.submit(request).get();
+    ASSERT_TRUE(result.ok());
+    const std::vector<RequestTrace> traces = engine.drain_traces();
+    ASSERT_EQ(traces.size(), 1u);
+    const std::vector<GreedyRoundProfile>& rounds = traces[0].greedy_rounds;
+    ASSERT_EQ(rounds.size(), fx.snapshot->instance().service_count());
+    double gain_total = 0;
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      EXPECT_EQ(rounds[r].round, r);
+      EXPECT_EQ(rounds[r].host, result.place.placement[rounds[r].service]);
+      gain_total += rounds[r].gain;
+    }
+    EXPECT_EQ(gain_total, result.place.objective_value);
+  }
+}
+
+TEST(EngineTrace, LazyAndStochasticProfilesCountEveryEvaluation) {
+  Rng rng(31);
+  Graph g = preferential_attachment(120, 2, rng);
+  std::vector<Service> services(5);
+  for (std::size_t s = 0; s < services.size(); ++s) {
+    services[s].name = "s" + std::to_string(s);
+    services[s].clients = rng.sample(g.nodes(), 3);
+    services[s].alpha = 0.5;
+  }
+  const ProblemInstance instance(std::move(g), std::move(services));
+  const auto kind = ObjectiveKind::Distinguishability;
+
+  std::vector<GreedyRoundProfile> profiles;
+  PlacementOptions hooked;
+  hooked.profile_round = [&](const GreedyRoundProfile& p) {
+    profiles.push_back(p);
+  };
+  auto evaluations = [&] {
+    std::size_t total = 0;
+    for (const GreedyRoundProfile& p : profiles) total += p.evaluations;
+    return total;
+  };
+
+  const LazyGreedyResult lazy = lazy_greedy_placement(instance, kind, 1);
+  const LazyGreedyResult lazy_hooked =
+      lazy_greedy_placement(instance, kind, 1, hooked);
+  EXPECT_EQ(lazy_hooked.placement, lazy.placement);
+  EXPECT_EQ(lazy_hooked.order, lazy.order);
+  EXPECT_EQ(lazy_hooked.evaluations, lazy.evaluations);
+  EXPECT_EQ(lazy_hooked.objective_value, lazy.objective_value);
+  ASSERT_EQ(profiles.size(), instance.service_count());
+  EXPECT_EQ(evaluations(), lazy.evaluations);
+
+  for (const std::size_t pool : {std::size_t{0}, std::size_t{40}}) {
+    SCOPED_TRACE(pool);
+    PlacementOptions plain;
+    plain.stochastic_pool = pool;
+    hooked.stochastic_pool = pool;
+    profiles.clear();
+    const StochasticGreedyResult stochastic =
+        stochastic_greedy_placement(instance, kind, 1, plain);
+    const StochasticGreedyResult stochastic_hooked =
+        stochastic_greedy_placement(instance, kind, 1, hooked);
+    EXPECT_EQ(stochastic_hooked.placement, stochastic.placement);
+    EXPECT_EQ(stochastic_hooked.gains, stochastic.gains);
+    EXPECT_EQ(stochastic_hooked.evaluations, stochastic.evaluations);
+    EXPECT_EQ(stochastic_hooked.sampled, stochastic.sampled);
+    ASSERT_EQ(profiles.size(), instance.service_count());
+    EXPECT_EQ(evaluations(), stochastic.evaluations);
+    for (std::size_t r = 0; r < profiles.size(); ++r) {
+      EXPECT_EQ(profiles[r].service, stochastic.order[r]);
+      EXPECT_EQ(profiles[r].gain, stochastic.gains[r]);
+    }
+  }
 }
 
 TEST(EngineTrace, ProfileHookIsOffByDefaultInDirectCalls) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/components.hpp"
 #include "util/error.hpp"
 
@@ -102,6 +105,53 @@ TEST(Generators, PreferentialAttachmentCreatesHubs) {
   // A uniform tree would keep degrees near-constant; preferential
   // attachment produces a pronounced hub.
   EXPECT_GE(max_degree, 6u);
+}
+
+// preferential_attachment as it was before its Fenwick sampler: a fresh
+// weight vector over the earlier nodes per new node, scanned by
+// Rng::weighted_index. O(n^2); the oracle for the fast sampler.
+Graph quadratic_preferential_attachment(std::size_t n, std::size_t m,
+                                        Rng& rng) {
+  Graph g = complete_graph(m + 1);
+  for (NodeId v = static_cast<NodeId>(m + 1); v < n; ++v) {
+    g.add_node();
+    std::vector<double> weights(v);
+    for (NodeId u = 0; u < v; ++u)
+      weights[u] = static_cast<double>(g.degree(u));
+    std::vector<NodeId> targets;
+    while (targets.size() < m) {
+      const NodeId pick = static_cast<NodeId>(rng.weighted_index(weights));
+      weights[pick] = 0.0;
+      targets.push_back(pick);
+    }
+    for (NodeId t : targets) g.add_edge(v, t);
+  }
+  return g;
+}
+
+TEST(Generators, PreferentialAttachmentMatchesQuadraticSampler) {
+  const std::vector<std::size_t> sizes = {3,  4,   10,  63,   64,
+                                          65, 100, 300, 1000, 2000};
+  const std::vector<std::size_t> links = {1, 2, 3, 5};
+  std::size_t cases = 0;
+  for (const std::size_t n : sizes) {
+    for (const std::size_t m : links) {
+      if (n <= m) continue;
+      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        Rng fast_rng(seed);
+        Rng oracle_rng(seed);
+        const Graph fast = preferential_attachment(n, m, fast_rng);
+        const Graph oracle = quadratic_preferential_attachment(n, m,
+                                                               oracle_rng);
+        ASSERT_EQ(fast.edges(), oracle.edges())
+            << "n " << n << " m " << m << " seed " << seed;
+        ASSERT_EQ(fast_rng(), oracle_rng())
+            << "n " << n << " m " << m << " seed " << seed;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 740u);
 }
 
 TEST(Generators, RandomConnectedExactEdges) {

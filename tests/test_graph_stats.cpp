@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "graph/shortest_path.hpp"
+#include "test_helpers.hpp"
 #include "topology/rocketfuel.hpp"
 #include "util/random.hpp"
 
@@ -75,6 +77,27 @@ TEST(MeanDistance, IgnoresDisconnectedPairs) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   EXPECT_DOUBLE_EQ(mean_distance(g), 1.0);
+}
+
+// The per-root loop mean_distance ran before it took its trees from
+// bfs_trees: same summation order, so the same double.
+double per_root_mean_distance(const Graph& g) {
+  double total = 0;
+  std::size_t pairs = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto dist = bfs_distances(g, v);
+    for (NodeId w = 0; w < g.node_count(); ++w) {
+      if (w == v || dist[w] == kUnreachable) continue;
+      total += static_cast<double>(dist[w]);
+      ++pairs;
+    }
+  }
+  return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
+}
+
+TEST(MeanDistance, EqualsPerRootSumBitForBit) {
+  for (const auto& [name, g] : testing::bfs_kernel_graphs())
+    EXPECT_EQ(mean_distance(g), per_root_mean_distance(g)) << name;
 }
 
 TEST(Assortativity, RegularGraphUndefinedIsZero) {

@@ -2,12 +2,15 @@
 #pragma once
 
 #include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "monitoring/path.hpp"
 #include "placement/service.hpp"
+#include "topology/catalog.hpp"
 #include "topology/isp_generator.hpp"
 #include "util/random.hpp"
 
@@ -78,6 +81,61 @@ inline ProblemInstance wide_instance() {
   services[2].clients = rng.sample(pool, 4);
   for (Service& svc : services) svc.alpha = 0.5;
   return ProblemInstance(std::move(g), std::move(services));
+}
+
+/// The graphs bfs_trees must agree with bfs_tree on: the catalog nets,
+/// perfbench's BA nets (same sizes and seeds), disconnected graphs, the
+/// shapes whose frontiers share no roots, and sizes around the 64-root pass
+/// width.
+inline std::vector<std::pair<std::string, Graph>> bfs_kernel_graphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const char* name : {"Abovenet", "Tiscali", "AT&T"})
+    graphs.emplace_back(name,
+                        topology::build(topology::catalog_entry(name)));
+  for (const std::size_t n : {std::size_t{300}, std::size_t{1000}}) {
+    Rng rng(n);
+    graphs.emplace_back("BA-" + std::to_string(n),
+                        preferential_attachment(n, 2, rng));
+  }
+  {
+    Rng rng(7);
+    graphs.emplace_back("ER-400 p=0.004", erdos_renyi(400, 0.004, rng));
+  }
+  {
+    Rng rng(8);
+    Graph g = preferential_attachment(150, 2, rng);
+    for (int i = 0; i < 20; ++i) g.add_node();
+    graphs.emplace_back("BA-150 + 20 isolated", std::move(g));
+  }
+  {
+    // Wide frontiers in the core, then a long tail that shares no roots.
+    Rng rng(9);
+    Graph g = preferential_attachment(200, 2, rng);
+    NodeId last = 0;
+    for (int i = 0; i < 100; ++i) {
+      const NodeId v = g.add_node();
+      g.add_edge(last, v);
+      last = v;
+    }
+    graphs.emplace_back("BA-200 + tail-100", std::move(g));
+  }
+  graphs.emplace_back("isolated-70", Graph(70));
+  graphs.emplace_back("grid-12x15", grid_graph(12, 15));
+  graphs.emplace_back("path-300", path_graph(300));
+  graphs.emplace_back("ring-301", ring_graph(301));
+  graphs.emplace_back("star-300", star_graph(300));
+  const std::vector<std::size_t> sizes = {1, 2, 63, 64, 65, 127, 128, 129};
+  for (const std::size_t n : sizes) {
+    const std::string size = std::to_string(n);
+    graphs.emplace_back("path-" + size, path_graph(n));
+    graphs.emplace_back("star-" + size, star_graph(n));
+    if (n >= 3) {
+      Rng rng(n + 1);
+      graphs.emplace_back("BA-" + size, preferential_attachment(n, 2, rng));
+      graphs.emplace_back("ring-" + size, ring_graph(n));
+    }
+  }
+  return graphs;
 }
 
 }  // namespace splace::testing

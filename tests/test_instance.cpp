@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "engine/snapshot.hpp"
 #include "graph/generators.hpp"
 #include "monitoring/coverage.hpp"
 #include "placement/baselines.hpp"
@@ -182,6 +185,34 @@ TEST(Instance, ValidationErrors) {
   Placement wrong_size{0};
   const ProblemInstance inst(path_graph(3), {ok, ok});
   EXPECT_THROW(inst.paths_for_placement(wrong_size), ContractViolation);
+}
+
+TEST(Instance, SplitServiceIsRejectedByName) {
+  // Components {0, 1, 7} and {2, 3}: a service with a client in each has no
+  // host that reaches both, and the error names it instead of tripping
+  // distance_profile's postcondition.
+  Graph g(8);
+  g.add_edge(2, 3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 7);
+  Service ok;
+  ok.name = "ok";
+  ok.clients = {0, 7};
+  ok.alpha = 0.5;
+  Service split = ok;
+  split.name = "split";
+  split.clients = {0, 3};
+  try {
+    const ProblemInstance inst(g, {ok, split});
+    FAIL() << "expected InvalidInput";
+  } catch (const InvalidInput& error) {
+    EXPECT_NE(std::string(error.what()).find("service 'split' clients"),
+              std::string::npos)
+        << error.what();
+  }
+  engine::SnapshotRegistry registry;
+  EXPECT_THROW(registry.add("split", g, {split}), InvalidInput);
+  EXPECT_NO_THROW(ProblemInstance(g, {ok}));
 }
 
 TEST(Instance, PathsMatchRoutingTable) {

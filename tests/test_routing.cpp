@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -98,6 +100,42 @@ TEST(Routing, DiameterIgnoresDisconnection) {
   g.add_edge(0, 1);
   const RoutingTable routes(g);
   EXPECT_EQ(routes.diameter(), 1u);
+}
+
+TEST(Routing, EveryTreeMatchesPerRootBfs) {
+  for (const auto& [name, g] : testing::bfs_kernel_graphs()) {
+    SCOPED_TRACE(name);
+    const RoutingTable routes(g);
+    ASSERT_EQ(routes.node_count(), g.node_count());
+    for (NodeId r = 0; r < g.node_count(); ++r) {
+      const BfsTree expected = bfs_tree(g, r);
+      ASSERT_EQ(routes.tree(r).source, r);
+      ASSERT_EQ(routes.tree(r).dist, expected.dist) << "root " << r;
+      ASSERT_EQ(routes.tree(r).parent, expected.parent) << "root " << r;
+    }
+  }
+}
+
+TEST(Routing, BfsTreesTakesRootsInAnyOrder) {
+  Rng rng(21);
+  const Graph g = preferential_attachment(200, 2, rng);
+  // Unsorted, repeated, and more than one pass wide.
+  std::vector<NodeId> roots;
+  for (std::size_t i = 0; i < 150; ++i)
+    roots.push_back(static_cast<NodeId>(rng.index(g.node_count())));
+  roots.push_back(roots.front());
+  std::size_t next = 0;
+  bfs_trees(g, roots, [&](std::size_t i, BfsTree&& tree) {
+    ASSERT_EQ(i, next++);
+    const BfsTree expected = bfs_tree(g, roots[i]);
+    EXPECT_EQ(tree.source, roots[i]);
+    EXPECT_EQ(tree.dist, expected.dist) << "root " << roots[i];
+    EXPECT_EQ(tree.parent, expected.parent) << "root " << roots[i];
+  });
+  EXPECT_EQ(next, roots.size());
+  bfs_trees(g, {}, [](std::size_t, BfsTree&&) { FAIL(); });
+  EXPECT_THROW(bfs_trees(g, {0, 200}, [](std::size_t, BfsTree&&) {}),
+               ContractViolation);
 }
 
 TEST(Routing, InvalidNodeThrows) {
