@@ -81,26 +81,19 @@ class FenwickTree {
  public:
   explicit FenwickTree(std::size_t n) : sums_(n + 1, 0), weights_(n, 0) {}
 
-  std::uint64_t total() const { return total_; }
-  std::uint64_t weight(std::size_t i) const { return weights_[i]; }
+  std::int64_t total() const { return total_; }
+  std::int64_t weight(std::size_t i) const { return weights_[i]; }
 
-  void add(std::size_t i, std::uint64_t delta) {
+  void add(std::size_t i, std::int64_t delta) {
     weights_[i] += delta;
     total_ += delta;
     for (std::size_t j = i + 1; j < sums_.size(); j += j & (~j + 1))
       sums_[j] += delta;
   }
 
-  void remove(std::size_t i, std::uint64_t delta) {
-    weights_[i] -= delta;
-    total_ -= delta;
-    for (std::size_t j = i + 1; j < sums_.size(); j += j & (~j + 1))
-      sums_[j] -= delta;
-  }
-
   /// The smallest i whose prefix sum w_0 + ... + w_i exceeds `target`, or
   /// the size when none does.
-  std::size_t first_exceeding(std::uint64_t target) const {
+  std::size_t first_exceeding(std::int64_t target) const {
     std::size_t pos = 0;
     for (std::size_t step = std::bit_floor(sums_.size() - 1); step != 0;
          step >>= 1) {
@@ -113,9 +106,9 @@ class FenwickTree {
   }
 
  private:
-  std::vector<std::uint64_t> sums_;
-  std::vector<std::uint64_t> weights_;
-  std::uint64_t total_ = 0;
+  std::vector<std::int64_t> sums_;
+  std::vector<std::int64_t> weights_;
+  std::int64_t total_ = 0;
 };
 
 }  // namespace
@@ -129,8 +122,9 @@ Graph preferential_attachment(std::size_t n, std::size_t m, Rng& rng) {
   // the draw stays non-negative, and the first negative result has the
   // exact sign: the pick is the first i with fl(u * total) < W_i, which the
   // Fenwick tree finds without the O(n) scan.
+  const auto links = static_cast<std::int64_t>(m);
   FenwickTree degrees(n);
-  for (NodeId u = 0; u <= m; ++u) degrees.add(u, m);
+  for (NodeId u = 0; u <= m; ++u) degrees.add(u, links);
   std::vector<NodeId> targets;
   for (NodeId v = static_cast<NodeId>(m + 1); v < n; ++v) {
     g.add_node();
@@ -139,19 +133,20 @@ Graph preferential_attachment(std::size_t n, std::size_t m, Rng& rng) {
       const double draw =
           rng.uniform01() * static_cast<double>(degrees.total());
       auto pick = static_cast<NodeId>(
-          degrees.first_exceeding(static_cast<std::uint64_t>(draw)));
+          degrees.first_exceeding(static_cast<std::int64_t>(draw)));
       if (pick >= v) {
         // The draw rounded up to the total: weighted_index's fallback to
         // the last positive weight.
         pick = v - 1;
         while (pick > 0 && degrees.weight(pick) == 0) --pick;
       }
-      degrees.remove(pick, degrees.weight(pick));  // without replacement
+      degrees.add(pick, -degrees.weight(pick));  // without replacement
       targets.push_back(pick);
     }
     for (NodeId t : targets) g.add_edge(v, t);
-    for (NodeId t : targets) degrees.add(t, g.degree(t));
-    degrees.add(v, m);
+    for (NodeId t : targets)
+      degrees.add(t, static_cast<std::int64_t>(g.degree(t)));
+    degrees.add(v, links);
   }
   return g;
 }
