@@ -56,9 +56,9 @@ class RoutingTable {
   /// routing-irrelevant). Only the trees whose routes can change are
   /// recomputed, in one bfs_trees call: a per-root sweep over the mutated
   /// endpoints' old distances and parents proves the rest unchanged, and
-  /// those are shared with this table. Past `full_rebuild_fraction` of affected roots the update falls
-  /// back to a plain full rebuild (reported through `fell_back_to_full` when
-  /// non-null). The result is bit-identical (distances and parents, hence
+  /// those are shared with this table. Past `full_rebuild_fraction` of
+  /// affected roots the update falls back to a plain full rebuild (reported
+  /// through `fell_back_to_full` when non-null). The result is bit-identical (distances and parents, hence
   /// routes) to `RoutingTable(updated)`.
   RoutingTable update(const Graph& updated, const TopologyDelta& delta,
                       double full_rebuild_fraction = 0.5,

@@ -19,6 +19,13 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
 
 constexpr std::uint64_t kFnvSeed = 1469598103934665603ull;
 
+/// Content hash of a set: FNV-1a over its row ids.
+std::uint64_t set_content_hash(const std::uint32_t* rows, std::size_t n) {
+  std::uint64_t hash = kFnvSeed;
+  for (std::size_t i = 0; i < n; ++i) hash = fnv1a(hash, rows[i]);
+  return hash;
+}
+
 /// Folds an FNV hash's high bits into its low ones, which pick the slot: the
 /// multiply only carries bits upward, so without it contents that differ
 /// only in high bits would cluster (as signature_row_hash does).
@@ -127,8 +134,8 @@ std::uint32_t PathArena::intern_set(const std::vector<std::uint32_t>& rows) {
       distinct.push_back(r);
   }
 
-  std::uint64_t hash = kFnvSeed;
-  for (std::uint32_t r : distinct) hash = fnv1a(hash, r);
+  const std::uint64_t hash =
+      set_content_hash(distinct.data(), distinct.size());
   const std::size_t slot =
       probe(set_slots_, finalized(hash), [&](std::uint32_t candidate) {
         return set_size(candidate) == distinct.size() &&
@@ -140,8 +147,9 @@ std::uint32_t PathArena::intern_set(const std::vector<std::uint32_t>& rows) {
   const auto set = static_cast<std::uint32_t>(set_count());
   set_rows_.insert(set_rows_.end(), distinct.begin(), distinct.end());
   set_offsets_.push_back(static_cast<std::uint32_t>(set_rows_.size()));
-  insert(set_slots_, slot, set,
-         [this](std::uint32_t s) { return finalized(set_hash(s)); });
+  insert(set_slots_, slot, set, [this](std::uint32_t s) {
+    return finalized(set_content_hash(set_rows(s), set_size(s)));
+  });
 
   // Union row: k-way merge of the member rows' sorted sparse words.
   std::vector<std::size_t> cursor(distinct.size());
@@ -189,13 +197,6 @@ std::uint64_t PathArena::row_hash(std::uint32_t row) const {
     hash = fnv1a(hash, words[i]);
     hash = fnv1a(hash, masks[i]);
   }
-  return hash;
-}
-
-std::uint64_t PathArena::set_hash(std::uint32_t set) const {
-  const std::uint32_t* rows = set_rows(set);
-  std::uint64_t hash = kFnvSeed;
-  for (std::size_t i = 0; i < set_size(set); ++i) hash = fnv1a(hash, rows[i]);
   return hash;
 }
 

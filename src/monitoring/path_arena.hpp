@@ -142,8 +142,8 @@ class PathArena {
   std::vector<std::uint64_t> build_masks_;
   std::vector<std::uint32_t> build_words_;
 
+  /// Content hash of a stored row, as intern_path hashes an incoming one.
   std::uint64_t row_hash(std::uint32_t row) const;
-  std::uint64_t set_hash(std::uint32_t set) const;
 
   void check_row(std::uint32_t row) const;
   void check_set(std::uint32_t set) const;
