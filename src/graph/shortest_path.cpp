@@ -56,17 +56,23 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
   const std::size_t n = g.node_count();
 
   // One pass's trees, root-major: row b holds the distances (parents) of
-  // the pass's root b, valid where `seen` holds bit b.
+  // the pass's root b. Every pass starts from unreached rows, so each tree
+  // copies out whole, and resets what it wrote when it ends.
   const std::size_t rows = std::min(kBatch, roots.size());
-  std::vector<std::uint32_t> dist_rows(rows * n);
-  std::vector<NodeId> parent_rows(rows * n);
+  std::vector<std::uint32_t> dist_rows(rows * n, kUnreachable);
+  std::vector<NodeId> parent_rows(rows * n, kInvalidNode);
   std::uint32_t* dist[kBatch];
   NodeId* parent[kBatch];
+  for (std::size_t b = 0; b < rows; ++b) {
+    dist[b] = dist_rows.data() + b * n;
+    parent[b] = parent_rows.data() + b * n;
+  }
   // Per node, one bit per root of the pass: `seen` holds the roots that
   // have reached the node, `frontier` those that reached it at the current
   // level and `next` those that reach it at the level being built. `active`
   // marks the nodes `next` is nonzero for, so the next frontier comes out in
-  // ascending id order. `reached` lists the nodes any root has reached.
+  // ascending id order. `reached` lists the nodes any root of the pass has
+  // reached.
   std::vector<std::uint64_t> seen(n), frontier(n), next(n);
   std::vector<std::uint64_t> active((n + 63) / 64);
   std::vector<NodeId> level_nodes, reached, queue(n);
@@ -78,10 +84,7 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
     level_nodes.clear();
     for (std::size_t b = 0; b < width; ++b) {
       const NodeId r = roots[base + b];
-      dist[b] = dist_rows.data() + b * n;
-      parent[b] = parent_rows.data() + b * n;
       dist[b][r] = 0;
-      parent[b][r] = kInvalidNode;
       if (frontier[r] == 0) level_nodes.push_back(r);
       frontier[r] |= std::uint64_t{1} << b;
       seen[r] |= std::uint64_t{1} << b;
@@ -93,6 +96,7 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
     // (the roots' own level says nothing of sharing, so level 1 always runs).
     std::size_t last_bits = 0;
     std::size_t last_nodes = 0;
+    std::size_t written = width;  // row entries this pass set, roots' first
     for (std::uint32_t level = 1; !level_nodes.empty(); ++level) {
       // Frontier nodes in ascending id, so the first neighbor to hand a root
       // bit to v is v's smallest-id parent for that root, as in bfs_tree.
@@ -127,6 +131,7 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
         }
         active[w] = 0;
       }
+      written += bits;
 
       // A pass pays per frontier node and a one-root search per root bit, so
       // the pass only wins where frontiers share roots. Once the frontier
@@ -147,14 +152,8 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
     for (std::size_t b = 0; b < width; ++b) {
       BfsTree tree;
       tree.source = roots[base + b];
-      tree.dist.assign(n, kUnreachable);
-      tree.parent.assign(n, kInvalidNode);
-      for (NodeId v : reached) {
-        if ((seen[v] >> b) & 1) {
-          tree.dist[v] = dist[b][v];
-          tree.parent[v] = parent[b][v];
-        }
-      }
+      tree.dist.assign(dist[b], dist[b] + n);
+      tree.parent.assign(parent[b], parent[b] + n);
       std::size_t tail = 0;
       for (NodeId v : level_nodes)
         if ((frontier[v] >> b) & 1) queue[tail++] = v;
@@ -162,6 +161,21 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
       emit(base + b, std::move(tree));
     }
     for (NodeId v : level_nodes) frontier[v] = 0;
+
+    // Reset the rows: wholesale when the pass filled much of them (wide
+    // frontiers), else entry by entry (a pass that handed off early).
+    if (8 * written > width * n) {
+      std::fill(dist_rows.begin(), dist_rows.end(), kUnreachable);
+      std::fill(parent_rows.begin(), parent_rows.end(), kInvalidNode);
+    } else {
+      for (NodeId v : reached) {
+        for (std::uint64_t m = seen[v]; m != 0; m &= m - 1) {
+          const auto b = static_cast<unsigned>(std::countr_zero(m));
+          dist[b][v] = kUnreachable;
+          parent[b][v] = kInvalidNode;
+        }
+      }
+    }
   }
 }
 
