@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <deque>
 #include <functional>
 
 #include "util/bitset.hpp"
@@ -16,7 +17,8 @@ constexpr std::size_t kBatch = 64;  // roots per pass: one bit of a word each
 // Grows a tree breadth-first from fifo[0, tail), every node of its deepest
 // settled level in any order; `fifo` has room for every node. Each newly
 // reached node's parent is its smallest-id neighbor one level up, whatever
-// order the queue holds a level in.
+// order the queue holds a level in: bfs_tree's search, resumed where a pass
+// stopped (bfs_tree keeps its own loop, so it stays an independent oracle).
 void grow(const Graph& g, std::uint32_t* dist, NodeId* parent, NodeId* fifo,
           std::size_t tail) {
   for (std::size_t head = 0; head < tail; ++head) {
@@ -44,9 +46,24 @@ BfsTree bfs_tree(const Graph& g, NodeId source) {
   tree.dist.assign(n, kUnreachable);
   tree.parent.assign(n, kInvalidNode);
   tree.dist[source] = 0;
-  std::vector<NodeId> queue(n);
-  queue[0] = source;
-  grow(g, tree.dist.data(), tree.parent.data(), queue.data(), 1);
+
+  std::deque<NodeId> queue{source};
+  while (!queue.empty()) {
+    const NodeId u = queue.front();
+    queue.pop_front();
+    for (NodeId v : g.neighbors(u)) {
+      if (tree.dist[v] == kUnreachable) {
+        tree.dist[v] = tree.dist[u] + 1;
+        tree.parent[v] = u;
+        queue.push_back(v);
+      } else if (tree.dist[v] == tree.dist[u] + 1 && u < tree.parent[v]) {
+        // Deterministic tie-break: among equal-distance predecessors keep the
+        // smallest id. Neighbors are visited in ascending order, but a later
+        // BFS layer node can still offer a smaller predecessor; normalize.
+        tree.parent[v] = u;
+      }
+    }
+  }
   return tree;
 }
 
