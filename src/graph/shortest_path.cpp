@@ -94,8 +94,17 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
   std::vector<std::uint64_t> active((n + 63) / 64);
   std::vector<NodeId> level_nodes, reached, queue(n);
 
+  // Set once a pass stops at its first check (level 2): frontiers that
+  // share no roots that early (paths, rings, grids) stay that way, so the
+  // remaining roots go to bfs_tree one by one.
+  bool one_by_one = false;
   for (std::size_t base = 0; base < roots.size(); base += kBatch) {
     const std::size_t width = std::min(kBatch, roots.size() - base);
+    if (one_by_one) {
+      for (std::size_t b = 0; b < width; ++b)
+        emit(base + b, bfs_tree(g, roots[base + b]));
+      continue;
+    }
     for (NodeId v : reached) seen[v] = 0;
     reached.clear();
     level_nodes.clear();
@@ -158,8 +167,10 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
       constexpr std::size_t kShared = 4;
       const std::size_t nodes = level_nodes.size();
       if (level > 1 && bits < kShared * nodes &&
-          4 * bits * last_nodes < 5 * last_bits * nodes)
+          4 * bits * last_nodes < 5 * last_bits * nodes) {
+        one_by_one = level == 2;
         break;
+      }
       last_bits = bits;
       last_nodes = nodes;
     }

@@ -41,8 +41,9 @@ BfsTree bfs_tree(const Graph& g, NodeId source);
 /// and the first frontier neighbor in ascending id to hand v a root's bit is
 /// v's parent for that root. Once a pass's frontier stops sharing roots
 /// (long paths, rings, grids, the last levels of any search) each root's
-/// search goes on alone, by bfs_tree's one-root loop. Scratch is local to
-/// the call.
+/// search goes on alone, by bfs_tree's one-root loop; when that happens at
+/// a pass's first check, the remaining roots go to bfs_tree one by one.
+/// Scratch is local to the call.
 void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
                const std::function<void(std::size_t, BfsTree&&)>& emit);
 
