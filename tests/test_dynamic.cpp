@@ -245,8 +245,9 @@ TEST(DynamicRoutingUpdate, RandomizedSequencesAreBitIdentical) {
   }
 }
 
-// update() and RoutingTable(updated) now run the same kernel, so each
-// recomputed tree is also held against the one-root search.
+// update() and RoutingTable(updated) run the same kernel, so comparing the
+// two cannot catch a kernel fault; each recomputed tree is also held
+// against the one-root search.
 TEST(DynamicRoutingUpdate, RecomputedTreesMatchPerRootBfs) {
   struct Case {
     const char* name;
