@@ -14,28 +14,6 @@ namespace {
 
 constexpr std::size_t kBatch = 64;  // roots per pass: one bit of a word each
 
-// Grows a tree breadth-first from fifo[0, tail), every node of its deepest
-// settled level in any order; `fifo` has room for every node. Each newly
-// reached node's parent is its smallest-id neighbor one level up, whatever
-// order the queue holds a level in: bfs_tree's search, resumed where a pass
-// stopped (bfs_tree keeps its own loop, so it stays an independent oracle).
-void grow(const Graph& g, std::uint32_t* dist, NodeId* parent, NodeId* fifo,
-          std::size_t tail) {
-  for (std::size_t head = 0; head < tail; ++head) {
-    const NodeId u = fifo[head];
-    const std::uint32_t below = dist[u] + 1;
-    for (NodeId v : g.neighbors(u)) {
-      if (dist[v] == kUnreachable) {
-        dist[v] = below;
-        parent[v] = u;
-        fifo[tail++] = v;
-      } else if (dist[v] == below && u < parent[v]) {
-        parent[v] = u;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 BfsTree bfs_tree(const Graph& g, NodeId source) {
@@ -72,57 +50,39 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
   for (NodeId r : roots) SPLACE_EXPECTS(g.is_valid_node(r));
   const std::size_t n = g.node_count();
 
-  // One pass's trees, root-major: row b holds the distances (parents) of
-  // the pass's root b. Every pass starts from unreached rows, so each tree
-  // copies out whole, and resets what it wrote when it ends.
-  const std::size_t rows = std::min(kBatch, roots.size());
-  std::vector<std::uint32_t> dist_rows(rows * n, kUnreachable);
-  std::vector<NodeId> parent_rows(rows * n, kInvalidNode);
-  std::uint32_t* dist[kBatch];
-  NodeId* parent[kBatch];
-  for (std::size_t b = 0; b < rows; ++b) {
-    dist[b] = dist_rows.data() + b * n;
-    parent[b] = parent_rows.data() + b * n;
-  }
   // Per node, one bit per root of the pass: `seen` holds the roots that
   // have reached the node, `frontier` those that reached it at the current
   // level and `next` those that reach it at the level being built. `active`
   // marks the nodes `next` is nonzero for, so the next frontier comes out in
-  // ascending id order. `reached` lists the nodes any root of the pass has
-  // reached.
+  // ascending id order. Each pass writes its roots' trees in place and runs
+  // to the end, which leaves `frontier`, `next` and `active` clear.
   std::vector<std::uint64_t> seen(n), frontier(n), next(n);
   std::vector<std::uint64_t> active((n + 63) / 64);
-  std::vector<NodeId> level_nodes, reached, queue(n);
+  std::vector<NodeId> level_nodes;
+  std::vector<BfsTree> trees;  // the pass's trees, written in place
+  std::uint32_t* dist[kBatch];
+  NodeId* parent[kBatch];
 
-  // Set once a pass stops at its first check (level 2): frontiers that
-  // share no roots that early (paths, rings, grids) stay that way, so the
-  // remaining roots go to bfs_tree one by one.
-  bool one_by_one = false;
   for (std::size_t base = 0; base < roots.size(); base += kBatch) {
     const std::size_t width = std::min(kBatch, roots.size() - base);
-    if (one_by_one) {
-      for (std::size_t b = 0; b < width; ++b)
-        emit(base + b, bfs_tree(g, roots[base + b]));
-      continue;
-    }
-    for (NodeId v : reached) seen[v] = 0;
-    reached.clear();
-    level_nodes.clear();
+    trees.resize(width);
+    std::fill(seen.begin(), seen.end(), 0);
     for (std::size_t b = 0; b < width; ++b) {
+      BfsTree& tree = trees[b];
       const NodeId r = roots[base + b];
-      dist[b][r] = 0;
-      if (frontier[r] == 0) level_nodes.push_back(r);
+      tree.source = r;
+      tree.dist.assign(n, kUnreachable);
+      tree.parent.assign(n, kInvalidNode);
+      tree.dist[r] = 0;
+      dist[b] = tree.dist.data();
+      parent[b] = tree.parent.data();
+      if (seen[r] == 0) level_nodes.push_back(r);
       frontier[r] |= std::uint64_t{1} << b;
       seen[r] |= std::uint64_t{1} << b;
     }
     std::sort(level_nodes.begin(), level_nodes.end());
-    reached = level_nodes;
 
-    // Root bits per frontier node at the previous level, as bits/nodes
-    // (the roots' own level says nothing of sharing, so level 1 always runs).
-    std::size_t last_bits = 0;
-    std::size_t last_nodes = 0;
-    std::size_t written = width;  // row entries this pass set, roots' first
+    std::size_t first_bits = 0;  // root bits on the level-1 frontier
     for (std::uint32_t level = 1; !level_nodes.empty(); ++level) {
       // Frontier nodes in ascending id, so the first neighbor to hand a root
       // bit to v is v's smallest-id parent for that root, as in bfs_tree.
@@ -132,7 +92,6 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
         for (NodeId v : g.neighbors(u)) {
           std::uint64_t fresh = from & ~seen[v];
           if (fresh == 0) continue;
-          if (seen[v] == 0) reached.push_back(v);
           seen[v] |= fresh;
           next[v] |= fresh;
           active[v / 64] |= std::uint64_t{1} << (v % 64);
@@ -145,7 +104,6 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
         }
       }
       level_nodes.clear();
-      std::size_t bits = 0;
       for (std::size_t w = 0; w < active.size(); ++w) {
         for (std::uint64_t word = active[w]; word != 0; word &= word - 1) {
           const auto v = static_cast<NodeId>(
@@ -153,57 +111,33 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
           level_nodes.push_back(v);
           frontier[v] = next[v];
           next[v] = 0;
-          bits += popcount64(frontier[v]);
         }
         active[w] = 0;
       }
-      written += bits;
 
-      // A pass pays per frontier node and a one-root search per root bit, so
-      // the pass only wins where frontiers share roots. Once the frontier
-      // carries fewer than kShared bits per node and is no longer widening
-      // (long paths, rings, grids, or the last levels of any search), the
-      // pass stops and each root's search goes on alone from this level.
-      constexpr std::size_t kShared = 4;
-      const std::size_t nodes = level_nodes.size();
-      if (level > 1 && bits < kShared * nodes &&
-          4 * bits * last_nodes < 5 * last_bits * nodes) {
-        one_by_one = level == 2;
-        break;
-      }
-      last_bits = bits;
-      last_nodes = nodes;
-    }
-
-    // Copy each tree out of its row and finish any search the pass left,
-    // from the root's frontier nodes (none when the pass ran to the end).
-    for (std::size_t b = 0; b < width; ++b) {
-      BfsTree tree;
-      tree.source = roots[base + b];
-      tree.dist.assign(dist[b], dist[b] + n);
-      tree.parent.assign(parent[b], parent[b] + n);
-      std::size_t tail = 0;
-      for (NodeId v : level_nodes)
-        if ((frontier[v] >> b) & 1) queue[tail++] = v;
-      grow(g, tree.dist.data(), tree.parent.data(), queue.data(), tail);
-      emit(base + b, std::move(tree));
-    }
-    for (NodeId v : level_nodes) frontier[v] = 0;
-
-    // Reset the rows: wholesale when the pass filled much of them (wide
-    // frontiers), else entry by entry (a pass that handed off early).
-    if (8 * written > width * n) {
-      std::fill(dist_rows.begin(), dist_rows.end(), kUnreachable);
-      std::fill(parent_rows.begin(), parent_rows.end(), kInvalidNode);
-    } else {
-      for (NodeId v : reached) {
-        for (std::uint64_t m = seen[v]; m != 0; m &= m - 1) {
-          const auto b = static_cast<unsigned>(std::countr_zero(m));
-          dist[b][v] = kUnreachable;
-          parent[b][v] = kInvalidNode;
-        }
+      // A pass pays per frontier node what a one-root search pays per root
+      // bit, a few times over, so it only wins where frontiers share roots.
+      // A level-2 frontier with fewer than kShared root bits per node that
+      // has not grown kShared-fold since level 1 belongs to a graph whose
+      // frontiers stay narrow (paths, rings, grids): the pass is dropped and
+      // every root from it on goes to bfs_tree. The dropped trees are freed
+      // on return: freed first, their 128 adjacent blocks made glibc merge
+      // its free chunks and trim the heap, and a second RoutingTable of
+      // path_graph(1000) in one process faulted in about 1,900 pages anew.
+      constexpr std::size_t kShared = 3;
+      if (level > 2 || level_nodes.empty()) continue;
+      std::size_t bits = 0;
+      for (NodeId v : level_nodes) bits += popcount64(frontier[v]);
+      if (level == 1) {
+        first_bits = bits;
+      } else if (bits < kShared * std::min(level_nodes.size(), first_bits)) {
+        for (std::size_t i = base; i < roots.size(); ++i)
+          emit(i, bfs_tree(g, roots[i]));
+        return;
       }
     }
+    for (std::size_t b = 0; b < width; ++b)
+      emit(base + b, std::move(trees[b]));
   }
 }
 

@@ -39,11 +39,10 @@ BfsTree bfs_tree(const Graph& g, NodeId source);
 /// 64-bit mask of the pass's roots that have reached it, so one scan of a
 /// frontier node's neighbors advances every root whose frontier holds it,
 /// and the first frontier neighbor in ascending id to hand v a root's bit is
-/// v's parent for that root. Once a pass's frontier stops sharing roots
-/// (long paths, rings, grids, the last levels of any search) each root's
-/// search goes on alone, by bfs_tree's one-root loop; when that happens at
-/// a pass's first check, the remaining roots go to bfs_tree one by one.
-/// Scratch is local to the call.
+/// v's parent for that root. Every pass runs to the end, unless its level-2
+/// frontier shares few roots and has barely grown since level 1 (paths,
+/// rings, grids): then that pass is dropped and its roots and every later
+/// one go to bfs_tree. Scratch is local to the call.
 void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
                const std::function<void(std::size_t, BfsTree&&)>& emit);
 
