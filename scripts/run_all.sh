@@ -72,8 +72,8 @@ ctest --test-dir build-tsan --output-on-failure \
 # The graph-io suite joins the scenario and replay suites for the one number
 # parser of the line grammars. The routing, shortest-path, generator and
 # graph-stats suites cover bfs_trees' per-pass scratch (root masks, the
-# active bitmap, the root-major rows) and the Fenwick sampler behind
-# preferential_attachment.
+# active bitmap, the trees each pass writes in place) and the Fenwick
+# sampler behind preferential_attachment.
 cmake -B build-asan -G Ninja -DSPLACE_SANITIZE=address \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
