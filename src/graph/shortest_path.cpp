@@ -121,9 +121,9 @@ void bfs_trees(const Graph& g, const std::vector<NodeId>& roots,
       // has not grown kShared-fold since level 1 belongs to a graph whose
       // frontiers stay narrow (paths, rings, grids): the pass is dropped and
       // every root from it on goes to bfs_tree. The dropped trees are freed
-      // on return: freed first, their 128 adjacent blocks made glibc merge
-      // its free chunks and trim the heap, and a second RoutingTable of
-      // path_graph(1000) in one process faulted in about 1,900 pages anew.
+      // on return, not before the one-root searches: freeing them first
+      // made each later RoutingTable(path_graph(1000)) in a process fault in
+      // about 1,900 fresh pages under glibc.
       constexpr std::size_t kShared = 3;
       if (level > 2 || level_nodes.empty()) continue;
       std::size_t bits = 0;
