@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "monitoring/kernels.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -110,25 +109,42 @@ class JsonWriter {
   std::vector<bool> nesting_;  ///< per open scope: already has an element
 };
 
-/// Best-effort repository revision for bench provenance: `git rev-parse`
-/// when the bench runs inside the work tree, else "unknown". Never throws.
-inline std::string repo_revision() {
-  std::string rev;
-  if (FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buffer[64];
-    if (::fgets(buffer, sizeof(buffer), pipe)) rev = buffer;
+/// First line of what the shell prints for `command`, or empty when it
+/// prints nothing or cannot run. Never throws.
+inline std::string shell_line(const std::string& command) {
+  std::string line;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buffer[256];
+    if (::fgets(buffer, sizeof(buffer), pipe)) line = buffer;
     ::pclose(pipe);
   }
-  while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r'))
-    rev.pop_back();
-  return rev.empty() ? "unknown" : rev;
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
+    line.pop_back();
+  return line;
+}
+
+/// Revision of the source tree the bench was built from, for bench
+/// provenance: git runs in SPLACE_SOURCE_DIR (set by bench/CMakeLists.txt),
+/// so a bench run from any directory names its commit. "-dirty" is appended
+/// when src/, bench/ or the top-level CMakeLists.txt differ from that
+/// commit; artifacts written elsewhere in the tree do not count. "unknown"
+/// outside a git checkout. Never throws.
+inline std::string repo_revision() {
+  const std::string git = "git -C '" SPLACE_SOURCE_DIR "' ";
+  std::string rev = shell_line(git + "rev-parse --short HEAD 2>/dev/null");
+  if (rev.empty()) return "unknown";
+  if (!shell_line(git +
+                  "status --porcelain --untracked-files=no -- src bench "
+                  "CMakeLists.txt 2>/dev/null")
+           .empty())
+    rev += "-dirty";
+  return rev;
 }
 
 /// Shared envelope for every BENCH_*.json artifact, so the perf trajectory
 /// is comparable across PRs: {"bench", "threads", "hardware_concurrency",
-/// "kernel_variant", "repo_rev", "results"}. The machine's hardware thread
-/// count and the kernel variant (always "scalar") make numbers comparable
-/// across hosts and with artifacts from earlier revisions.
+/// "repo_rev", "results"}. The machine's hardware thread count makes
+/// numbers comparable across hosts.
 /// `results_json` must already be valid JSON (object or array).
 inline std::string bench_envelope_json(const std::string& bench,
                                        std::size_t threads,
@@ -137,8 +153,6 @@ inline std::string bench_envelope_json(const std::string& bench,
   envelope += "  \"threads\": " + std::to_string(threads) + ",\n";
   envelope += "  \"hardware_concurrency\": " +
               std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  envelope += "  \"kernel_variant\": \"" +
-              std::string(to_string(kernels::active_variant())) + "\",\n";
   envelope += "  \"repo_rev\": \"" + repo_revision() + "\",\n";
   envelope += "  \"results\": " + results_json + "\n}\n";
   return envelope;

@@ -126,13 +126,6 @@ build/bench/bench_scale --smoke
 build/bench/bench_cascade --smoke --out BENCH_cascade_smoke.json
 rm -f BENCH_cascade_smoke.json
 
-# Shard smoke leg: bench_shard --smoke exits nonzero unless the sharded
-# group answers bit-identically to a single engine, no cell loses a
-# response, and the quiet tenant's cache hit rate survives the noisy-tenant
-# flood. The shard-scaling gate auto-skips (loudly) on a 1-CPU host.
-build/bench/bench_shard --smoke --out BENCH_shard_smoke.json
-rm -f BENCH_shard_smoke.json
-
 # Portfolio smoke leg: bench_portfolio --smoke exits nonzero unless the
 # pair-cover placement is feasible, every MIS certificate agrees with the
 # brute-force oracles (small instances) and with observed localize() runs,

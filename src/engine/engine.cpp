@@ -87,6 +87,9 @@ EngineConfig validated(EngineConfig config) {
 }  // namespace
 
 std::string EngineConfig::validate() const {
+  if (threads > kMaxWorkerThreads)
+    return "threads must be <= " + std::to_string(kMaxWorkerThreads) +
+           " (worker threads)";
   if (max_queue_depth < 1)
     return "max_queue_depth must be >= 1 (requests)";
   if (adaptive_cache) {

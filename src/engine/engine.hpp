@@ -62,7 +62,8 @@ struct TenantQuota {
 /// with the message validate() returns, instead of silently adjusting
 /// values. Every field states its unit.
 struct EngineConfig {
-  /// Worker threads (count; 0 = one per hardware thread).
+  /// Worker threads (count; 0 = one per hardware thread; at most
+  /// kMaxWorkerThreads).
   std::size_t threads = 0;
   /// Admission limit (requests; must be >= 1): requests beyond this many in
   /// flight are rejected with RejectedQueueFull instead of queued

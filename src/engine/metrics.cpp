@@ -66,7 +66,7 @@ class JsonWriter final : public MetricWriter {
   void value(const std::string& key, double value,
              const MetricFamily& /*family*/) override {
     entry(key);
-    out_ << value;
+    out_ << format_exact(value);
   }
   void value(const std::string& key, bool value,
              const MetricFamily& /*family*/) override {

@@ -195,10 +195,10 @@ ReplaySpec parse_replay(std::istream& in) {
     const std::string& key = tokens[0];
     if (key == "threads") {
       if (tokens.size() != 2) fail(line, "threads needs one value");
-      spec.threads = parse_uint(tokens[1], where(line));
+      spec.threads = parse_uint(tokens[1], where(line), kMaxWorkerThreads);
     } else if (key == "shards") {
       if (tokens.size() != 2) fail(line, "shards needs one value");
-      spec.shards = parse_uint(tokens[1], where(line));
+      spec.shards = parse_uint(tokens[1], where(line), kMaxWorkerThreads);
       if (spec.shards < 1) fail(line, "shards must be >= 1");
     } else if (key == "queue-depth") {
       if (tokens.size() != 2) fail(line, "queue-depth needs one value");

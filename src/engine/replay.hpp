@@ -1,12 +1,14 @@
 // Replay scenarios: a line-oriented description of a mixed request stream
 // fired through the serving engine (consumed by `splace_cli --replay` and
-// bench_engine). The format mirrors core/scenario.hpp's style:
+// the engine and shard tests). The format mirrors core/scenario.hpp's style:
 //
 //   # engine configuration
 //   threads 4                 # engine workers (0 = hardware concurrency)
 //   shards 4                  # engine shards (1 = plain single engine;
 //                             # > 1 runs an EngineGroup — threads, queue
-//                             # and cache are per shard)
+//                             # and cache are per shard). Each line takes
+//                             # at most kMaxWorkerThreads (256), and so
+//                             # does shards x threads
 //   queue-depth 256           # admission limit
 //   cache 1024                # LRU capacity in entries (0 = off)
 //   repeat 50                 # fire the request list this many times

@@ -32,6 +32,11 @@ inline constexpr std::size_t kRequestTypeCount = 5;
 /// through signature classes instead and are exempt.
 inline constexpr std::size_t kMaxFailureSets = 5'000'000;
 
+/// Most worker threads one configuration may start: an EngineConfig's
+/// `threads`, and `shards` × `threads` for an EngineGroupConfig. A count
+/// past it is rejected by validate() before any thread starts.
+inline constexpr std::size_t kMaxWorkerThreads = 256;
+
 /// Why a request produced no result. Ok is the only success outcome.
 enum class Outcome {
   Ok,

@@ -5,6 +5,7 @@
 
 #include "stream/exposition.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace splace::shard {
 
@@ -22,6 +23,11 @@ std::string EngineGroupConfig::validate() const {
   if (shards < 1) return "shards must be >= 1 (engine shards)";
   const std::string shard_error = shard.validate();
   if (!shard_error.empty()) return "shard config: " + shard_error;
+  const std::size_t per_shard = ThreadPool::worker_count(shard.threads);
+  if (shards > engine::kMaxWorkerThreads / per_shard)
+    return "shards x threads must be <= " +
+           std::to_string(engine::kMaxWorkerThreads) + " (worker threads; " +
+           std::to_string(shards) + " x " + std::to_string(per_shard) + ")";
   return {};
 }
 

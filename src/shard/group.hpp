@@ -33,7 +33,9 @@ namespace splace::shard {
 /// every shard. Validated like EngineConfig — violations throw InvalidInput
 /// from the constructor.
 struct EngineGroupConfig {
-  /// Engine shards (count; must be >= 1).
+  /// Engine shards (count; must be >= 1). Every shard starts
+  /// `shard.threads` workers (one per hardware thread for 0), and the
+  /// group's total may not pass engine::kMaxWorkerThreads.
   std::size_t shards = 1;
   /// Per-shard engine configuration (threads, queue, cache, quotas — each
   /// shard gets its own queue and cache budget of this size).

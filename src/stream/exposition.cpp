@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/string_util.hpp"
+
 namespace splace::stream {
 
 namespace {
@@ -27,7 +29,7 @@ class TextWriter final : public engine::MetricWriter {
   }
   void value(const std::string& key, double value,
              const engine::MetricFamily& family) override {
-    sample(key, family, value);
+    sample(key, family, format_exact(value));
   }
   void value(const std::string& key, bool value,
              const engine::MetricFamily& family) override {
@@ -47,7 +49,7 @@ class TextWriter final : public engine::MetricWriter {
            cumulative);
     }
     file(family, "_bucket", join(labels_, "le", "+Inf"), stats.count);
-    file(family, "_sum", labels_, stats.total_seconds * 1e6);
+    file(family, "_sum", labels_, format_exact(stats.total_seconds * 1e6));
     file(family, "_count", labels_, stats.count);
     close();
   }

@@ -48,6 +48,17 @@ std::string format_double(double value, int precision) {
   return buf;
 }
 
+std::string format_exact(double value) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.6g", value);
+  double back = 0;
+  const auto parsed = std::from_chars(buf, buf + n, back);
+  if (!std::isfinite(value) ||
+      (parsed.ec == std::errc() && parsed.ptr == buf + n && back == value))
+    return std::string(buf, static_cast<std::size_t>(n));
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }

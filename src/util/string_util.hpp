@@ -34,6 +34,12 @@ std::string concat(Parts&&... parts) {
 /// Formats a double with `precision` digits after the decimal point.
 std::string format_double(double value, int precision = 2);
 
+/// `value` as text that reads back as the same double: the stream default
+/// (`%.6g`) when that round-trips, so 0.0007 stays `0.0007`, else the
+/// shortest round-trip form from std::to_chars (12345678901, not
+/// 1.23457e+10). The metric exports print every double through this.
+std::string format_exact(double value);
+
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 

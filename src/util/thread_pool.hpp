@@ -27,6 +27,10 @@ class ThreadPool {
   /// Spawns `threads` workers (>=1; defaults to hardware concurrency).
   explicit ThreadPool(std::size_t threads = 0);
 
+  /// The worker count ThreadPool(threads) starts: `threads`, or one per
+  /// hardware thread (at least 1) for 0.
+  static std::size_t worker_count(std::size_t threads);
+
   /// Drains outstanding work, then joins the workers.
   ~ThreadPool();
 

@@ -23,6 +23,7 @@
 #include "placement/baselines.hpp"
 #include "placement/brute_force.hpp"
 #include "placement/greedy.hpp"
+#include "shard/group.hpp"
 #include "test_helpers.hpp"
 #include "topology/catalog.hpp"
 #include "util/error.hpp"
@@ -563,7 +564,8 @@ TEST(EngineReplay, RejectsSignsTrailingCharactersAndNonFiniteNumbers) {
         "snapshot odd topology abovenet alpha nan",
         "snapshot odd topology abovenet alpha 0.4junk",
         "mutate net addlink 0 4294967298\nderive net",
-        "mutate net rmlink 4294967295 1\nderive net"}) {
+        "mutate net rmlink 4294967295 1\nderive net",
+        "threads 257", "shards 257"}) {
     const std::string error =
         replay_parse_error("# probe on the next line\n" + probe + "\n" + tail);
     EXPECT_NE(error.find("replay line 2: "), std::string::npos)
@@ -578,6 +580,15 @@ TEST(EngineReplay, RejectsSignsTrailingCharactersAndNonFiniteNumbers) {
   EXPECT_DOUBLE_EQ(spec.requests[0].deadline_seconds, 0.0025);
   ASSERT_EQ(spec.requests[1].delta.add_links.size(), 1u);
   EXPECT_EQ(spec.requests[1].delta.add_links[0].v, 4294967294u);
+
+  // Parse only, never run: 256 workers per line is the bound, and the
+  // group built from 256 shards of 256 workers would start 65,536 threads,
+  // so its validate() rejects the product.
+  const ReplaySpec wide = parse_replay("threads 256\nshards 256\n" + tail);
+  EXPECT_EQ(wide.threads, kMaxWorkerThreads);
+  EXPECT_EQ(wide.shards, kMaxWorkerThreads);
+  EXPECT_NE(wide.group_config().validate().find("shards x threads"),
+            std::string::npos);
 }
 
 TEST(EngineReplay, RunAccountsForEveryRequest) {

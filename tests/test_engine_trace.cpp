@@ -111,6 +111,23 @@ TEST(EngineTrace, EveryRequestRecordsAllSevenSpans) {
   EXPECT_TRUE(stats.enabled);
   EXPECT_EQ(stats.drained, 3u);
   EXPECT_EQ(stats.recorded, 0u);
+
+  // A burst over both workers loses no trace: 32 distinct RD places, each
+  // submitted twice, come back as 64 traces with consecutive ids.
+  std::vector<Request> burst;
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    PlaceRequest request = fx.place(Algorithm::RD);
+    request.seed = seed;
+    burst.push_back(request);
+    burst.push_back(request);
+  }
+  for (std::future<EngineResult>& f : engine.submit(burst))
+    ASSERT_TRUE(f.get().ok());
+  const std::vector<RequestTrace> burst_traces = engine.drain_traces();
+  ASSERT_EQ(burst_traces.size(), burst.size());
+  for (std::size_t i = 0; i < burst_traces.size(); ++i)
+    EXPECT_EQ(burst_traces[i].id, 4 + i);
+  EXPECT_EQ(engine.metrics().tracing.dropped, 0u);
 }
 
 TEST(EngineTrace, DisabledCacheSkipsTheInsert) {
@@ -340,6 +357,15 @@ TEST(EngineConfigValidation, RejectsInsteadOfClamping) {
 
   EXPECT_FALSE(EngineConfig{}.validate().empty() == false);
   EXPECT_TRUE(EngineConfig{}.validate().empty());
+
+  // Checked through validate() only: an Engine built from an out-of-range
+  // count would start its threads.
+  config = EngineConfig{};
+  config.threads = kMaxWorkerThreads;
+  EXPECT_TRUE(config.validate().empty());
+  config.threads = kMaxWorkerThreads + 1;
+  EXPECT_NE(config.validate().find("threads must be <= 256"),
+            std::string::npos);
 }
 
 TEST(CacheAccounting, EvictionsChargePerTypeAndBytes) {

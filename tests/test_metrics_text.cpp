@@ -461,14 +461,16 @@ const std::string kShard0Json =
     "\"cache\": {\"hits\": 20, \"misses\": 25, \"evictions\": 9, \"evic"
     "tions_by_type\": {\"place\": 4, \"evaluate\": 2, \"localize\": 1, "
     "\"mutate\": 0, \"portfolio\": 2}, \"evicted_bytes_estimate\": 4096"
-    ", \"size\": 14, \"capacity\": 16, \"hit_rate\": 0.444444}, \"tenan"
+    ", \"size\": 14, \"capacity\": 16, \"hit_rate\": 0.4444444444444444}"
+    ", \"tenan"
     "ts\": {\"acme\": {\"submitted\": 30, \"completed\": 24, \"cache_hi"
     "ts\": 10, \"rejected_quota\": 2, \"cache\": {\"hits\": 15, \"misse"
     "s\": 17, \"evictions\": 6, \"size\": 9, \"capacity\": 10, \"hit_ra"
     "te\": 0.46875}}, \"we\\\"ird\\\\te\\nnant\\u0001\": {\"submitted\""
     ": 10, \"completed\": 7, \"cache_hits\": 2, \"rejected_quota\": 2, "
     "\"cache\": {\"hits\": 5, \"misses\": 8, \"evictions\": 3, \"size\""
-    ": 5, \"capacity\": 6, \"hit_rate\": 0.384615}}}, \"adaptive_cache"
+    ": 5, \"capacity\": 6, \"hit_rate\": 0.38461538461538464}}}"
+    ", \"adaptive_cache"
     "\": {\"enabled\": true, \"window\": 64, \"observed\": 31, \"workin"
     "g_set\": 13, \"working_set_by_type\": {\"place\": 6, \"evaluate\":"
     " 4, \"localize\": 2, \"mutate\": 0, \"portfolio\": 1}, \"min_capac"
@@ -480,7 +482,8 @@ const std::string kShard0Json =
     "ency\": {\"place\": {\"count\": 5, \"mean_seconds\": 0.0003097, \""
     "min_seconds\": 5e-07, \"max_seconds\": 0.0015, \"log2_us\": {\"0\""
     ": 1, \"2\": 1, \"3\": 1, \"6\": 1, \"11\": 1}}, \"evaluate\": {\"c"
-    "ount\": 3, \"mean_seconds\": 0.000234667, \"min_seconds\": 2e-06, "
+    "ount\": 3, \"mean_seconds\": 0.00023466666666666666"
+    ", \"min_seconds\": 2e-06, "
     "\"max_seconds\": 0.0007, \"log2_us\": {\"1\": 2, \"10\": 1}}, \"lo"
     "calize\": {\"count\": 1, \"mean_seconds\": 0.01, \"min_seconds\": "
     "0.01, \"max_seconds\": 0.01, \"log2_us\": {\"14\": 1}}, \"mutate\""
@@ -494,17 +497,21 @@ const std::string kShard1Json =
     "ted\": {\"queue_full\": 2, \"deadline\": 2, \"bad_request\": 4, \""
     "tenant_quota\": 4, \"total\": 12}, \"queue_depth\": 1, \"queue_hig"
     "h_water\": 7, \"elapsed_seconds\": 3.5, \"throughput_rps\": 9.1428"
-    "6, \"cache\": {\"hits\": 21, \"misses\": 25, \"evictions\": 10, \""
+    "57142857142"
+    ", \"cache\": {\"hits\": 21, \"misses\": 25, \"evictions\": 10, \""
     "evictions_by_type\": {\"place\": 4, \"evaluate\": 3, \"localize\":"
     " 1, \"mutate\": 0, \"portfolio\": 2}, \"evicted_bytes_estimate\": "
-    "4104, \"size\": 14, \"capacity\": 20, \"hit_rate\": 0.456522}, \"t"
+    "4104, \"size\": 14, \"capacity\": 20, \"hit_rate\": 0.45652173913043476}"
+    ", \"t"
     "enants\": {\"acme\": {\"submitted\": 31, \"completed\": 24, \"cach"
     "e_hits\": 10, \"rejected_quota\": 3, \"cache\": {\"hits\": 15, \"m"
     "isses\": 18, \"evictions\": 6, \"size\": 9, \"capacity\": 11, \"hi"
-    "t_rate\": 0.454545}}, \"we\\\"ird\\\\te\\nnant\\u0001\": {\"submit"
+    "t_rate\": 0.45454545454545453}}"
+    ", \"we\\\"ird\\\\te\\nnant\\u0001\": {\"submit"
     "ted\": 10, \"completed\": 7, \"cache_hits\": 2, \"rejected_quota\""
     ": 2, \"cache\": {\"hits\": 6, \"misses\": 8, \"evictions\": 3, \"s"
-    "ize\": 5, \"capacity\": 6, \"hit_rate\": 0.428571}}}, \"adaptive_c"
+    "ize\": 5, \"capacity\": 6, \"hit_rate\": 0.42857142857142855}}}"
+    ", \"adaptive_c"
     "ache\": {\"enabled\": true, \"window\": 64, \"observed\": 32, \"wo"
     "rking_set\": 13, \"working_set_by_type\": {\"place\": 6, \"evaluat"
     "e\": 4, \"localize\": 2, \"mutate\": 0, \"portfolio\": 2}, \"min_c"
@@ -516,7 +523,8 @@ const std::string kShard1Json =
     "\"latency\": {\"place\": {\"count\": 5, \"mean_seconds\": 0.000309"
     "9, \"min_seconds\": 5e-07, \"max_seconds\": 0.001501, \"log2_us\":"
     " {\"0\": 1, \"2\": 1, \"3\": 1, \"6\": 1, \"11\": 1}}, \"evaluate"
-    "\": {\"count\": 3, \"mean_seconds\": 0.000234667, \"min_seconds\":"
+    "\": {\"count\": 3, \"mean_seconds\": 0.00023466666666666666"
+    ", \"min_seconds\":"
     " 2e-06, \"max_seconds\": 0.0007, \"log2_us\": {\"1\": 2, \"10\": 1"
     "}}, \"localize\": {\"count\": 1, \"mean_seconds\": 0.02, \"min_sec"
     "onds\": 0.02, \"max_seconds\": 0.02, \"log2_us\": {\"15\": 1}}, \""
@@ -533,14 +541,17 @@ const std::string kMergedJson =
     "\"cache\": {\"hits\": 41, \"misses\": 50, \"evictions\": 19, \"evi"
     "ctions_by_type\": {\"place\": 8, \"evaluate\": 5, \"localize\": 2,"
     " \"mutate\": 0, \"portfolio\": 4}, \"evicted_bytes_estimate\": 820"
-    "0, \"size\": 28, \"capacity\": 36, \"hit_rate\": 0.450549}, \"tena"
+    "0, \"size\": 28, \"capacity\": 36, \"hit_rate\": 0.45054945054945056}"
+    ", \"tena"
     "nts\": {\"acme\": {\"submitted\": 61, \"completed\": 48, \"cache_h"
     "its\": 20, \"rejected_quota\": 5, \"cache\": {\"hits\": 30, \"miss"
     "es\": 35, \"evictions\": 12, \"size\": 18, \"capacity\": 21, \"hit"
-    "_rate\": 0.461538}}, \"we\\\"ird\\\\te\\nnant\\u0001\": {\"submitt"
+    "_rate\": 0.46153846153846156}}"
+    ", \"we\\\"ird\\\\te\\nnant\\u0001\": {\"submitt"
     "ed\": 20, \"completed\": 14, \"cache_hits\": 4, \"rejected_quota\""
     ": 4, \"cache\": {\"hits\": 11, \"misses\": 16, \"evictions\": 6, "
-    "\"size\": 10, \"capacity\": 12, \"hit_rate\": 0.407407}}}, \"adapt"
+    "\"size\": 10, \"capacity\": 12, \"hit_rate\": 0.4074074074074074}}}"
+    ", \"adapt"
     "ive_cache\": {\"enabled\": true, \"window\": 64, \"observed\": 63,"
     " \"working_set\": 26, \"working_set_by_type\": {\"place\": 12, \"e"
     "valuate\": 8, \"localize\": 4, \"mutate\": 0, \"portfolio\": 3}, "
@@ -555,7 +566,8 @@ const std::string kMergedJson =
     "n_seconds\": 0.0003098, \"min_seconds\": 5e-07, \"max_seconds\": 0"
     ".001501, \"log2_us\": {\"0\": 2, \"2\": 2, \"3\": 2, \"6\": 2, \"1"
     "1\": 2}}, \"evaluate\": {\"count\": 6, \"mean_seconds\": 0.0002346"
-    "67, \"min_seconds\": 2e-06, \"max_seconds\": 0.0007, \"log2_us\": "
+    "6666666666666"
+    ", \"min_seconds\": 2e-06, \"max_seconds\": 0.0007, \"log2_us\": "
     "{\"1\": 4, \"10\": 2}}, \"localize\": {\"count\": 2, \"mean_second"
     "s\": 0.015, \"min_seconds\": 0.01, \"max_seconds\": 0.02, \"log2_u"
     "s\": {\"14\": 1, \"15\": 1}}, \"mutate\": {\"count\": 0, \"mean_se"
@@ -579,7 +591,8 @@ const std::string kStream1Json =
     " 8, \"reenumerations\": 2, \"detect_latency\": {\"count\": 3, \"me"
     "an_seconds\": 0.00044, \"min_seconds\": 3e-05, \"max_seconds\": 0."
     "0012, \"log2_us\": {\"5\": 1, \"7\": 1, \"11\": 1}}, \"localize_la"
-    "tency\": {\"count\": 3, \"mean_seconds\": 0.001761, \"min_seconds"
+    "tency\": {\"count\": 3, \"mean_seconds\": 0.0017609999999999998"
+    ", \"min_seconds"
     "\": 0.000121, \"max_seconds\": 0.004801, \"log2_us\": {\"7\": 1, "
     "\"9\": 1, \"13\": 1}}}";
 
@@ -941,7 +954,7 @@ const std::vector<std::string> kShardedLines = {
     "splace_localize_latency_us_count{shard=\"0\"} 3",
     "splace_localize_latency_us_count{shard=\"1\"} 3",
     "splace_localize_latency_us_sum{shard=\"0\"} 5280",
-    "splace_localize_latency_us_sum{shard=\"1\"} 5283",
+    "splace_localize_latency_us_sum{shard=\"1\"} 5282.999999999999",
     "splace_observations_total{shard=\"0\"} 180",
     "splace_observations_total{shard=\"1\"} 180",
     "splace_queue_depth{shard=\"0\"} 0",
@@ -1025,7 +1038,8 @@ const std::vector<std::string> kShardedLines = {
     "splace_request_latency_us_sum{shard=\"1\",type=\"evaluate\"} 704",
     "splace_request_latency_us_sum{shard=\"1\",type=\"localize\"} 20000",
     "splace_request_latency_us_sum{shard=\"1\",type=\"mutate\"} 0",
-    "splace_request_latency_us_sum{shard=\"1\",type=\"place\"} 1549.5",
+    "splace_request_latency_us_sum{shard=\"1\",type=\"place\"} "
+    "1549.4999999999998",
     "splace_request_latency_us_sum{shard=\"1\",type=\"portfolio\"} 2500"
     "00",
     "splace_requests_cache_hits_total{shard=\"0\"} 12",
@@ -1164,6 +1178,29 @@ TEST(MetricsText, ExportsMatchParentOutput) {
   parse_into(metrics_text(shards), sharded);
   for (const Sample& sample : sharded.samples)
     EXPECT_EQ(family_of(sharded, sample), sample.section) << sample.name;
+}
+
+TEST(MetricsText, LargeValuesRoundTripExactlyThroughBothExports) {
+  // Past 6 significant digits both exports print the shortest exact form: a
+  // 12,345,678,901 µs latency sum and a 1,234,567.89 s uptime read back as
+  // the same doubles, not as 1.23457e+10 and 1.23457e+06.
+  engine::EngineMetricsSnapshot m;
+  m.elapsed_seconds = 1234567.89;
+  m.latency[static_cast<std::size_t>(engine::RequestType::Place)].record(
+      12345.678901);
+
+  const std::string json = engine::to_json(m);
+  EXPECT_NE(json.find("\"elapsed_seconds\": 1234567.89, "), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"mean_seconds\": 12345.678901, "), std::string::npos)
+      << json;
+
+  Exposition exposition;
+  parse_into(metrics_text(m, StreamStats{}, BusStats{}), exposition);
+  EXPECT_EQ(value_of(exposition, "splace_uptime_seconds"), 1234567.89);
+  EXPECT_EQ(value_of(exposition, "splace_request_latency_us_sum",
+                     {{"type", "place"}}),
+            12345678901.0);
 }
 
 TEST(MetricsText, CachePartitionWithoutTrafficIsInBothExports) {

@@ -22,6 +22,7 @@
 #include "stream/exposition.hpp"
 #include "topology/catalog.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace splace::shard {
 namespace {
@@ -128,6 +129,22 @@ TEST(EngineGroup, ValidatesConfiguration) {
   EngineGroupConfig bad_shard;
   bad_shard.shard.max_queue_depth = 0;
   EXPECT_THROW(EngineGroup(fx.registry, bad_shard), InvalidInput);
+
+  // shards x threads is bounded by kMaxWorkerThreads, with threads = 0
+  // counted as the pool's per-hardware-thread default. Checked through
+  // validate() only: a group built past the bound would start its threads.
+  EngineGroupConfig wide;
+  wide.shards = 2;
+  wide.shard.threads = engine::kMaxWorkerThreads / 2;
+  EXPECT_TRUE(wide.validate().empty());
+  wide.shard.threads += 1;
+  EXPECT_NE(wide.validate().find("shards x threads must be <= 256"),
+            std::string::npos);
+  wide.shard.threads = 0;
+  wide.shards = engine::kMaxWorkerThreads / ThreadPool::worker_count(0);
+  EXPECT_TRUE(wide.validate().empty());
+  wide.shards += 1;
+  EXPECT_FALSE(wide.validate().empty());
 }
 
 TEST(EngineGroup, AnswersBitIdenticallyToASingleEngine) {
